@@ -158,7 +158,7 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 // goldenHufCases is the fixed spec/shape matrix the huf golden fixture
 // records: every family through "+huf", including the per-lane
 // lossless framings whose block layout (one sequence per byte-group
-// lane) is part of the wire contract.
+// lane) is part of the wire contract, plus "+fse" controls.
 var goldenHufCases = []struct {
 	Name  string `json:"name"`
 	Shape []int  `json:"shape"`
@@ -174,6 +174,12 @@ var goldenHufCases = []struct {
 	// (68 KiB) pins a lane spanning multiple entropy blocks without a
 	// megabyte-scale fixture.
 	{"lossless:bg=1+huf", []int{17, 1024}},
+	// "+fse" codes the whole payload as one block sequence — it does
+	// not restart at lane boundaries — so these pin that the lossless
+	// lanes reach only "+huf".
+	{"lossless:bg=4+fse", []int{2, 3, 16, 16}},
+	{"lossless:bg=1+fse", []int{17, 1024}},
+	{"dctc:cf=4+fse", []int{2, 3, 16, 16}},
 }
 
 // TestGoldenHufContainers pins "+huf" container output byte-for-byte:
