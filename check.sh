@@ -19,6 +19,10 @@ go build ./...
 # any reintroduced wrap-around or truncating conversion.
 GOOS=linux GOARCH=386 go build ./...
 GOOS=linux GOARCH=386 go vet ./...
+# 32-bit test run of the framing packages: the build above cannot catch
+# an int product that wraps at runtime (e.g. the staged size hint at
+# maxElems). The host runs 386 binaries natively.
+GOOS=linux GOARCH=386 go test -count=1 ./internal/bitstream ./internal/entropy ./internal/codec
 # Cross-arch smoke builds for the dispatched kernels: arm64 exercises
 # the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
 # the amd64 build makes no baseline-ISA assumptions outside the
@@ -82,5 +86,10 @@ go run ./cmd/acc-bench -hostbench -benchquick -benchname smoke -benchdir "$smoke
 # compare hard-fails on them whenever the row ran enough iterations
 # to amortize warmup (tiny-N smoke rows print a note instead).
 go run ./cmd/acc-bench -compare BENCH_pr9.json "$smokedir/BENCH_smoke.json"
+
+# The benchmark module builds against this tree; its tests include the
+# replay check that per-lane CompressHuf output, concatenated, equals
+# the staged lossless:bg=4+huf payload.
+(cd perfbench && go test -count=1 .)
 
 echo "check.sh: all green"

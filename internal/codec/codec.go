@@ -76,25 +76,24 @@ type streamDecoder interface {
 	decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error)
 }
 
-// fastRoundTripper is implemented by backends that can round-trip
-// without materializing the serialized payload (the hot path for the
-// training experiments, which round-trip every batch).
+// fastRoundTripper is implemented by backends whose round trip skips
+// payload serialization and allocates its own output (dctc: the
+// training experiments round-trip every batch through the paper's
+// batched two-matmul path).
 type fastRoundTripper interface {
 	fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error)
 }
 
 // fastRoundTripperInto is implemented by backends that can round-trip
-// into a caller-provided tensor with pooled scratch only — the
-// steady-state form of fastRoundTripper (zero allocations per call on
-// a single-worker pipeline).
+// into a caller-provided tensor with pooled scratch only (zero
+// allocations per call on a single-worker pipeline).
 type fastRoundTripperInto interface {
 	fastRoundTripInto(dst, x *tensor.Tensor) (int, error)
 }
 
-// slowRoundTripInto is the fallback for backends (or shapes) without a
-// pooled in-place path: serialize, decode, copy. Backends call it from
-// their fast paths, which only run on an empty stage chain; staged
-// codecs go through stagedRoundTripInto instead.
+// slowRoundTripInto is the fallback for shapes a fused path does not
+// cover: serialize, decode, copy. Backends call it from their fused
+// paths, which only run on an empty stage chain.
 func slowRoundTripInto(b backend, dst, x *tensor.Tensor) (int, error) {
 	ctx := context.Background()
 	payload, err := b.encode(ctx, x)
@@ -102,22 +101,6 @@ func slowRoundTripInto(b backend, dst, x *tensor.Tensor) (int, error) {
 		return 0, err
 	}
 	out, err := b.decode(ctx, payload, x.Shape())
-	if err != nil {
-		return 0, err
-	}
-	copy(dst.Data(), out.Data())
-	return len(payload), nil
-}
-
-// stagedRoundTripInto round-trips through the full stage chain; the
-// reported size is the staged (post-chain) payload size.
-func stagedRoundTripInto(c *codecImpl, dst, x *tensor.Tensor) (int, error) {
-	ctx := context.Background()
-	payload, err := c.encodePayload(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.decodePayload(ctx, payload, x.Shape())
 	if err != nil {
 		return 0, err
 	}
@@ -137,30 +120,64 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("codec: %T is not a registry codec", c)
 	}
+	_, n, err := impl.roundTrip(dst, x)
+	return n, err
+}
+
+// roundTrip is the one round-trip path behind RoundTrip and
+// RoundTripInto; a nil dst allocates the reconstruction. An unstaged
+// backend with a fused path skips payload serialization, which a stage
+// chain requires; everything else goes through encodePayload and
+// decodePayload, and the reported size is the staged (post-chain)
+// payload size.
+func (c *codecImpl) roundTrip(dst, x *tensor.Tensor) (*tensor.Tensor, int, error) {
 	start := telemetry.NowNanos()
+	into, hasInto := c.b.(fastRoundTripperInto)
+	fast, hasFast := c.b.(fastRoundTripper)
+	unstaged := len(c.chain) == 0
 	var (
 		n   int
 		err error
 	)
-	if fast, ok := impl.b.(fastRoundTripperInto); ok && len(impl.chain) == 0 {
-		n, err = fast.fastRoundTripInto(dst, x)
+	switch {
+	case unstaged && hasInto:
+		if dst == nil {
+			dst = tensor.New(x.Shape()...)
+		}
+		n, err = into.fastRoundTripInto(dst, x)
+	case unstaged && hasFast && dst == nil:
+		dst, n, err = fast.fastRoundTrip(x)
+	default:
+		// encodePayload and decodePayload count their own metrics.
+		ctx := context.Background()
+		payload, err := c.encodePayload(ctx, x)
 		if err != nil {
-			// The fused path bypasses encodePayload/decodePayload, so the
-			// error is counted here; the staged path counts at the choke
-			// points and must not double-count.
-			impl.m.countErr(err)
-			return n, err
+			return nil, 0, err
 		}
-		impl.m.inputBytes.Add(uint64(x.SizeBytes()))
-		impl.m.payloadBytes.Add(uint64(n))
-	} else {
-		if n, err = stagedRoundTripInto(impl, dst, x); err != nil {
-			return n, err
+		out, err := c.decodePayload(ctx, payload, x.Shape())
+		if err != nil {
+			return nil, 0, err
 		}
+		if dst == nil {
+			dst = out
+		} else {
+			copy(dst.Data(), out.Data())
+		}
+		c.m.roundTripCalls.Inc()
+		c.m.roundTripNs.ObserveSince(start)
+		return dst, len(payload), nil
 	}
-	impl.m.roundTripCalls.Inc()
-	impl.m.roundTripNs.ObserveSince(start)
-	return n, nil
+	// The fused paths bypass encodePayload/decodePayload, so they are
+	// counted here.
+	if err != nil {
+		c.m.countErr(err)
+		return nil, n, err
+	}
+	c.m.inputBytes.Add(uint64(x.SizeBytes()))
+	c.m.payloadBytes.Add(uint64(n))
+	c.m.roundTripCalls.Inc()
+	c.m.roundTripNs.ObserveSince(start)
+	return dst, n, nil
 }
 
 // codecImpl frames a backend plus its stage chain behind the Codec
@@ -170,13 +187,12 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 type codecImpl struct {
 	spec  string
 	b     backend
-	chain []Stage
+	chain []*entropyStage
 
 	// Metric handles, resolved once at construction (see metrics.go).
 	// Nil on hand-constructed impls in tests: every recording call is
 	// nil-safe, so unwired codecs simply record nothing.
-	m      *codecMetrics
-	stageM []*stageMetrics
+	m *codecMetrics
 }
 
 func (c *codecImpl) Name() string   { return c.b.name() }
@@ -204,62 +220,12 @@ func (c *codecImpl) Decompress(data []byte) (*tensor.Tensor, error) {
 }
 
 func (c *codecImpl) DecompressCtx(ctx context.Context, data []byte) (*tensor.Tensor, error) {
-	hdr, payload, err := ReadContainer(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if hdr.wireSize != len(data) {
-		return nil, fmt.Errorf("codec: %d trailing bytes after container", len(data)-hdr.wireSize)
-	}
-	spec, err := ParseSpec(hdr.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("codec: container spec: %w", err)
-	}
-	if spec.Family != c.Name() {
-		return nil, fmt.Errorf("codec: container holds %q data, this codec is %q (use Decode for spec-directed decoding)", spec.Family, c.Name())
-	}
-	// Honor the container's own options (self-describing wins over the
-	// instance's): rebuild when the specs differ.
-	impl := c
-	if hdr.Spec != c.spec {
-		other, err := New(hdr.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("codec: rebuilding from container spec %q: %w", hdr.Spec, err)
-		}
-		impl = other.(*codecImpl)
-	}
-	return impl.decodePayload(ctx, payload, hdr.Shape)
+	out, _, err := decodeContainer(ctx, bytes.NewReader(data), len(data), c)
+	return out, err
 }
 
 func (c *codecImpl) RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	// The in-place fast paths skip payload serialization, which a stage
-	// chain requires: staged codecs always take the serialize path, and
-	// the reported size is the staged (post-chain) payload size.
-	start := telemetry.NowNanos()
-	if fast, ok := c.b.(fastRoundTripper); ok && len(c.chain) == 0 {
-		out, n, err := fast.fastRoundTrip(x)
-		if err != nil {
-			c.m.countErr(err)
-			return out, n, err
-		}
-		c.m.inputBytes.Add(uint64(x.SizeBytes()))
-		c.m.payloadBytes.Add(uint64(n))
-		c.m.roundTripCalls.Inc()
-		c.m.roundTripNs.ObserveSince(start)
-		return out, n, nil
-	}
-	ctx := context.Background()
-	payload, err := c.encodePayload(ctx, x)
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := c.decodePayload(ctx, payload, x.Shape())
-	if err != nil {
-		return nil, 0, err
-	}
-	c.m.roundTripCalls.Inc()
-	c.m.roundTripNs.ObserveSince(start)
-	return out, len(payload), nil
+	return c.roundTrip(nil, x)
 }
 
 // builder constructs a family's backend from parsed options.
@@ -321,9 +287,9 @@ func newCodec(spec string) (Codec, error) {
 	if err := opts.finish(); err != nil {
 		return nil, err
 	}
-	chain := make([]Stage, 0, len(parsed.Stages))
+	chain := make([]*entropyStage, 0, len(parsed.Stages))
 	for _, name := range parsed.Stages {
-		st, err := newStage(name)
+		st, err := lookupStage(name)
 		if err != nil {
 			return nil, err
 		}
@@ -331,10 +297,6 @@ func newCodec(spec string) (Codec, error) {
 	}
 	impl := &codecImpl{spec: canonicalSpec(parsed.Family, b, chain), b: b, chain: chain}
 	impl.m = metricsFor(impl.spec)
-	impl.stageM = make([]*stageMetrics, len(chain))
-	for i, st := range chain {
-		impl.stageM[i] = stageMetricsFor(st.Name())
-	}
 	return impl, nil
 }
 
@@ -365,7 +327,7 @@ type canonicalizer interface{ canonical() string }
 
 // canonicalSpec renders the spec that exactly rebuilds b and its stage
 // chain.
-func canonicalSpec(family string, b backend, chain []Stage) string {
+func canonicalSpec(family string, b backend, chain []*entropyStage) string {
 	s := family
 	if c, ok := b.(canonicalizer); ok {
 		if opts := c.canonical(); opts != "" {
@@ -373,7 +335,7 @@ func canonicalSpec(family string, b backend, chain []Stage) string {
 		}
 	}
 	for _, st := range chain {
-		s += "+" + st.Spec()
+		s += "+" + st.name
 	}
 	return s
 }
@@ -389,19 +351,7 @@ func Decode(r io.Reader) (*tensor.Tensor, Codec, error) {
 // DecodeCtx is Decode under a context: cancelling ctx aborts the plane
 // pipeline between planes.
 func DecodeCtx(ctx context.Context, r io.Reader) (*tensor.Tensor, Codec, error) {
-	hdr, payload, err := ReadContainer(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := New(hdr.Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("codec: container spec %q: %w", hdr.Spec, err)
-	}
-	out, err := c.(*codecImpl).decodePayload(ctx, payload, hdr.Shape)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, c, nil
+	return decodeContainer(ctx, r, -1, nil)
 }
 
 // DecodeBytes is Decode over an in-memory container. Unlike Decode on a
@@ -413,18 +363,47 @@ func DecodeBytes(data []byte) (*tensor.Tensor, Codec, error) {
 
 // DecodeBytesCtx is DecodeBytes under a context.
 func DecodeBytesCtx(ctx context.Context, data []byte) (*tensor.Tensor, Codec, error) {
-	hdr, payload, err := ReadContainer(bytes.NewReader(data))
+	return decodeContainer(ctx, bytes.NewReader(data), len(data), nil)
+}
+
+// decodeContainer is the one container-decode path: header, then
+// codec, then decodePayload. A non-negative size is the byte length the
+// container must span exactly. With self nil the codec comes from the
+// header alone; otherwise the container must hold self's family, and
+// its own spec wins over self's options (self-describing wins over the
+// instance).
+func decodeContainer(ctx context.Context, r io.Reader, size int, self *codecImpl) (*tensor.Tensor, Codec, error) {
+	hdr, payload, err := ReadContainer(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hdr.wireSize != len(data) {
-		return nil, nil, fmt.Errorf("codec: %d trailing bytes after container", len(data)-hdr.wireSize)
+	if size >= 0 && hdr.wireSize != size {
+		return nil, nil, fmt.Errorf("codec: %d trailing bytes after container", size-hdr.wireSize)
 	}
-	c, err := New(hdr.Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("codec: container spec %q: %w", hdr.Spec, err)
+	c := self
+	if self == nil {
+		built, err := New(hdr.Spec)
+		if err != nil {
+			return nil, nil, fmt.Errorf("codec: container spec %q: %w", hdr.Spec, err)
+		}
+		c = built.(*codecImpl)
+	} else {
+		spec, err := ParseSpec(hdr.Spec)
+		if err != nil {
+			return nil, nil, fmt.Errorf("codec: container spec: %w", err)
+		}
+		if spec.Family != self.Name() {
+			return nil, nil, fmt.Errorf("codec: container holds %q data, this codec is %q (use Decode for spec-directed decoding)", spec.Family, self.Name())
+		}
+		if hdr.Spec != self.spec {
+			other, err := New(hdr.Spec)
+			if err != nil {
+				return nil, nil, fmt.Errorf("codec: rebuilding from container spec %q: %w", hdr.Spec, err)
+			}
+			c = other.(*codecImpl)
+		}
 	}
-	out, err := c.(*codecImpl).decodePayload(ctx, payload, hdr.Shape)
+	out, err := c.decodePayload(ctx, payload, hdr.Shape)
 	if err != nil {
 		return nil, nil, err
 	}

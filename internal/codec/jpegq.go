@@ -126,16 +126,6 @@ func (b *jpegqBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 	return total, nil
 }
 
-// fastRoundTrip keeps Codec.RoundTrip off the container path.
-func (b *jpegqBackend) fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	out := tensor.New(x.Shape()...)
-	n, err := b.fastRoundTripInto(out, x)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, n, nil
-}
-
 // decodeStream decodes a jpegq record incrementally, one plane-group at
 // a time (jpegq payloads have no mode byte — the plane framing starts
 // immediately).

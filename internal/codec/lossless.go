@@ -43,10 +43,11 @@ func (b *losslessBackend) canonical() string {
 	return fmt.Sprintf("bg=%d", b.bg)
 }
 
-// payloadSegments marks the byte-group lane boundaries for segment-
-// aware entropy stages: lane k occupies [k·n/bg, (k+1)·n/bg), so each
-// lane's run of same-significance bytes gets its own block statistics
-// instead of blocks straddling an exponent/mantissa boundary.
+// payloadSegments marks the byte-group lane boundaries that
+// encodePayload passes to the first stage: lane k occupies
+// [k·n/bg, (k+1)·n/bg), so under "+huf" each lane's run of
+// same-significance bytes gets its own block statistics instead of
+// blocks straddling an exponent/mantissa boundary.
 func (b *losslessBackend) payloadSegments(payloadLen int) []int {
 	bounds := make([]int, b.bg)
 	for i := range bounds {

@@ -7,8 +7,8 @@ import (
 )
 
 // This file wires the codec layer into internal/telemetry. Metric
-// handles are resolved once — per spec at New, per stage at chain
-// construction, once at init for the stream engine — so the hot paths
+// handles are resolved once — per spec at New, once at init for the
+// stage table (stage.go) and the stream engine — so the hot paths
 // record through pre-fetched pointers (one or two atomic adds each) and
 // stay 0 allocs/op. Every recording call is gated on the global
 // telemetry switch; with ACC_TELEMETRY=0 (or -tags acc_notelemetry)
@@ -104,33 +104,6 @@ func (m *codecMetrics) countErr(err error) {
 	default:
 		m.errOther.Inc()
 	}
-}
-
-// stageMetrics is one stage name's timing pair; resolved per chain slot
-// at codec construction.
-type stageMetrics struct {
-	forwardNs *telemetry.Histogram
-	inverseNs *telemetry.Histogram
-}
-
-var (
-	stageMetricsMu sync.Mutex
-	stageMetricsBy = map[string]*stageMetrics{}
-)
-
-// stageMetricsFor returns the metric pair for a stage name.
-func stageMetricsFor(name string) *stageMetrics {
-	stageMetricsMu.Lock()
-	defer stageMetricsMu.Unlock()
-	if m, ok := stageMetricsBy[name]; ok {
-		return m
-	}
-	m := &stageMetrics{
-		forwardNs: telemetry.NewHistogram("stage." + name + ".forward_ns"),
-		inverseNs: telemetry.NewHistogram("stage." + name + ".inverse_ns"),
-	}
-	stageMetricsBy[name] = m
-	return m
 }
 
 // streamM is the stream engine's global metric set; per-writer and

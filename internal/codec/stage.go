@@ -3,9 +3,7 @@ package codec
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/entropy"
 	"repro/internal/telemetry"
@@ -21,9 +19,9 @@ import (
 //
 // — and the framing layer applies the stages in order on encode
 // (payload → stage 1 → … → stage N) and in reverse on decode. Stages
-// see opaque byte payloads only: they compose with every family, and a
-// new family composes with every stage, without either knowing the
-// other exists.
+// see opaque byte payloads, plus the lossless family's lane cuts on the
+// first stage: they compose with every family without knowing which
+// family produced the bytes.
 //
 // On the wire, a staged spec rides in the same header field as before
 // (the spec string IS the stage chain), and staged frames are marked so
@@ -32,64 +30,80 @@ import (
 // stream records use the 'S' marker in place of 'T'. Unstaged output is
 // byte-identical to pre-stage writers.
 
-// Stage is one composable payload transform. Implementations must be
-// safe for concurrent use (the stream engines run them on worker
-// pools) and are expected to use pooled scratch so steady-state
-// encode/decode stays allocation-light.
-type Stage interface {
-	// Name is the stage's registry name ("fse").
-	Name() string
-	// Spec is the canonical spec fragment that rebuilds the stage.
-	Spec() string
-	// Forward transforms a payload on the encode path. It must not
-	// retain or modify payload.
-	Forward(ctx context.Context, payload []byte) ([]byte, error)
-	// Inverse undoes Forward on the decode path. sizeHint is an upper
-	// bound on the plausible output size for the tensor being decoded;
-	// stages whose inverse can expand must fail rather than exceed it,
-	// so corrupted frames die before the allocation, not after.
-	Inverse(ctx context.Context, payload []byte, sizeHint int) ([]byte, error)
+// entropyStage is one "+name" stage suffix: the shared entropy coder
+// behind a fixed encoder. The stages are stateless (all scratch is
+// pooled inside the entropy package), so one value serves every codec,
+// and they carry their own timing histograms.
+type entropyStage struct {
+	name string
+	// compress appends src's entropy-coded blocks to dst.
+	compress func(dst, src []byte) []byte
+	// perLane restarts block statistics at each lane boundary the
+	// backend reports. It is a format constant: "lossless:bg=4+huf" is
+	// one block sequence per byte-group lane, "lossless:bg=4+fse" one
+	// sequence over the whole payload.
+	perLane bool
+
+	forwardNs, inverseNs *telemetry.Histogram
 }
 
-var (
-	stageMu       sync.RWMutex
-	stageRegistry = map[string]func() (Stage, error){}
-)
+// entropyStages is the fixed stage table. Both encoders emit the same
+// self-delimiting block format, so entropy.DecompressCap inverts either
+// stage: "+fse" codes every block with the cheapest of raw/rle/fse,
+// "+huf" adds the multi-symbol huf mode to that choice.
+var entropyStages = [...]*entropyStage{
+	newEntropyStage("fse", entropy.Compress, false),
+	newEntropyStage("huf", entropy.CompressHuf, true),
+}
 
-// registerStage installs a stage builder; stages self-register in init.
-func registerStage(name string, build func() (Stage, error)) {
-	stageMu.Lock()
-	defer stageMu.Unlock()
-	if _, dup := stageRegistry[name]; dup {
-		panic(fmt.Sprintf("codec: duplicate stage %q", name))
+func newEntropyStage(name string, compress func(dst, src []byte) []byte, perLane bool) *entropyStage {
+	return &entropyStage{
+		name:      name,
+		compress:  compress,
+		perLane:   perLane,
+		forwardNs: telemetry.NewHistogram("stage." + name + ".forward_ns"),
+		inverseNs: telemetry.NewHistogram("stage." + name + ".inverse_ns"),
 	}
-	stageRegistry[name] = build
 }
 
-// StageNames lists the registered stage names, sorted.
+// forward appends src's entropy coding to dst. lanes, when non-nil, are
+// the cumulative lane end offsets of src (the last equal to len(src));
+// a perLane stage codes each lane as its own block sequence. The
+// concatenation needs no extra framing: blocks are self-delimiting, so
+// the decoder never sees the cuts.
+func (s *entropyStage) forward(dst, src []byte, lanes []int) []byte {
+	if !s.perLane || lanes == nil {
+		return s.compress(dst, src)
+	}
+	prev := 0
+	for _, end := range lanes {
+		dst = s.compress(dst, src[prev:end])
+		prev = end
+	}
+	return dst
+}
+
+// StageNames lists the stage names, sorted (the table is in name
+// order).
 func StageNames() []string {
-	stageMu.RLock()
-	defer stageMu.RUnlock()
-	out := make([]string, 0, len(stageRegistry))
-	for n := range stageRegistry {
-		out = append(out, n)
+	out := make([]string, len(entropyStages))
+	for i, st := range entropyStages {
+		out[i] = st.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// newStage resolves one stage token from a spec's "+" chain.
-func newStage(token string) (Stage, error) {
+// lookupStage resolves one stage token from a spec's "+" chain.
+func lookupStage(token string) (*entropyStage, error) {
 	if strings.ContainsAny(token, ":=,") {
 		return nil, fmt.Errorf("codec: stage %q: stages take no options", token)
 	}
-	stageMu.RLock()
-	build, ok := stageRegistry[token]
-	stageMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("codec: unknown stage %q (registered: %v)", token, StageNames())
+	for _, st := range entropyStages {
+		if st.name == token {
+			return st, nil
+		}
 	}
-	return build()
+	return nil, fmt.Errorf("codec: unknown stage %q (registered: %v)", token, StageNames())
 }
 
 // isStageSep reports whether the '+' at s[i] separates a stage suffix.
@@ -140,17 +154,17 @@ func specHasStages(spec string) bool {
 // stagedSizeHint bounds the plausible pre-stage payload size for a
 // tensor shape: no family's serialized payload comes near 8 bytes per
 // float32 element, and small tensors get a fixed floor for framing.
-// Stage inverses use it to reject decompression bombs.
+// Stage inverses use it to reject decompression bombs. The sum is taken
+// in uint64: at maxElems it is 2 GiB, which wraps a 32-bit int.
 func stagedSizeHint(shape []int) int {
-	elems := 1
+	elems := uint64(1)
 	for _, d := range shape {
-		elems *= d
+		elems *= uint64(d)
 	}
-	hint := 8*elems + (64 << 10)
-	if hint > maxPayload {
-		hint = maxPayload
+	if hint := 8*elems + 64<<10; hint < maxPayload {
+		return int(hint)
 	}
-	return hint
+	return maxPayload
 }
 
 // encodePayload runs the family encoder, then each stage forward. It is
@@ -164,17 +178,23 @@ func (c *codecImpl) encodePayload(ctx context.Context, x *tensor.Tensor) ([]byte
 		return nil, err
 	}
 	for i, st := range c.chain {
-		ts := telemetry.NowNanos()
-		if seg, lanes := segmentsFor(c, st, i, len(payload)); lanes != nil {
-			payload, err = seg.ForwardSegments(ctx, payload, lanes)
-		} else {
-			payload, err = st.Forward(ctx, payload)
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			c.m.countErr(err)
-			return nil, fmt.Errorf("codec: stage %s forward: %w", st.Name(), err)
+			return nil, fmt.Errorf("codec: stage %s forward: %w", st.name, err)
 		}
-		c.stageM[i].forwardNs.ObserveSince(ts)
+		ts := telemetry.NowNanos()
+		// Only the first stage sees the backend's lanes: later stages
+		// see entropy-coded bytes whose lane structure is gone.
+		var lanes []int
+		if lb, ok := c.b.(*losslessBackend); ok && i == 0 {
+			lanes = lb.payloadSegments(len(payload))
+		}
+		// The coder never expands a block by more than its framing
+		// overhead (≤ 4 bytes per 64 KiB block or lane, plus slack for
+		// the last short block), so one allocation covers the output.
+		dst := make([]byte, 0, len(payload)+4*(len(payload)>>16)+4*len(lanes)+16)
+		payload = st.forward(dst, payload, lanes)
+		st.forwardNs.ObserveSince(ts)
 	}
 	c.m.compressCalls.Inc()
 	c.m.compressNs.ObserveSince(start)
@@ -184,24 +204,41 @@ func (c *codecImpl) encodePayload(ctx context.Context, x *tensor.Tensor) ([]byte
 }
 
 // decodePayload runs the stages inverse in reverse order, then the
-// family decoder — the decompress-side metric choke point.
+// family decoder — the decompress-side metric choke point. Each inverse
+// appends into a byteScratchPool buffer, which goes back to the pool
+// once the next step has read it: no family decode keeps a view into
+// its payload, so nothing returned aliases a pooled buffer. The
+// inverse output is capped at stagedSizeHint, so corrupted frames die
+// before the allocation, not after.
 func (c *codecImpl) decodePayload(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
 	start := telemetry.NowNanos()
 	inBytes := len(payload)
+	var pooled []byte // the pool buffer payload points into, if any
 	if len(c.chain) > 0 {
 		hint := stagedSizeHint(shape)
-		var err error
 		for i := len(c.chain) - 1; i >= 0; i-- {
 			st := c.chain[i]
-			ts := telemetry.NowNanos()
-			if payload, err = st.Inverse(ctx, payload, hint); err != nil {
+			if err := ctx.Err(); err != nil {
 				c.m.countErr(err)
-				return nil, fmt.Errorf("codec: stage %s inverse: %w", st.Name(), err)
+				return nil, fmt.Errorf("codec: stage %s inverse: %w", st.name, err)
 			}
-			c.stageM[i].inverseNs.ObserveSince(ts)
+			ts := telemetry.NowNanos()
+			out, err := entropy.DecompressCap(getByteScratch(0), payload, hint)
+			if pooled != nil {
+				putByteScratch(pooled)
+			}
+			if err != nil {
+				c.m.countErr(err)
+				return nil, fmt.Errorf("codec: stage %s inverse: %w", st.name, err)
+			}
+			pooled, payload = out, out
+			st.inverseNs.ObserveSince(ts)
 		}
 	}
 	out, err := c.b.decode(ctx, payload, shape)
+	if pooled != nil {
+		putByteScratch(pooled)
+	}
 	if err != nil {
 		c.m.countErr(err)
 		return nil, err
@@ -211,133 +248,4 @@ func (c *codecImpl) decodePayload(ctx context.Context, payload []byte, shape []i
 	c.m.decodeBytes.Add(uint64(inBytes))
 	c.m.outputBytes.Add(uint64(out.SizeBytes()))
 	return out, nil
-}
-
-// laneSegmenter is implemented by backends whose payload is a
-// concatenation of lanes with distinct statistics (the lossless
-// byte-group family). payloadSegments returns the cumulative end
-// offsets of the lanes, the last equal to payloadLen.
-type laneSegmenter interface {
-	payloadSegments(payloadLen int) []int
-}
-
-// segmentedStage is implemented by stages that can restart their block
-// statistics at given payload offsets. ForwardSegments encodes each
-// [prev, bound) range as an independent block sequence; the output must
-// decode through the stage's ordinary Inverse (entropy blocks are
-// self-delimiting, so concatenated per-lane streams need no extra
-// framing on the wire).
-type segmentedStage interface {
-	ForwardSegments(ctx context.Context, payload []byte, bounds []int) ([]byte, error)
-}
-
-// segmentsFor reports whether stage st should see a per-lane segmented
-// payload: only the first stage in the chain (later stages see
-// entropy-coded bytes whose lane structure is gone), only when both the
-// backend and the stage opt in, and only when there is more than one
-// lane.
-func segmentsFor(c *codecImpl, st Stage, idx, payloadLen int) (segmentedStage, []int) {
-	if idx != 0 {
-		return nil, nil
-	}
-	seg, ok := st.(segmentedStage)
-	if !ok {
-		return nil, nil
-	}
-	ls, ok := c.b.(laneSegmenter)
-	if !ok {
-		return nil, nil
-	}
-	lanes := ls.payloadSegments(payloadLen)
-	if len(lanes) < 2 {
-		return nil, nil
-	}
-	return seg, lanes
-}
-
-// ---------------------------------------------------------------------
-// The fse stage: the shared entropy backend as a payload transform.
-
-// fseStage appends the internal/entropy coder as a final stage. It is
-// stateless — all scratch is pooled inside the entropy package — so one
-// instance serves every codec.
-type fseStage struct{}
-
-func init() {
-	registerStage("fse", func() (Stage, error) { return fseStage{}, nil })
-}
-
-func (fseStage) Name() string { return "fse" }
-func (fseStage) Spec() string { return "fse" }
-
-// stageDst sizes a destination buffer for an entropy-coded payload:
-// the coder never expands a block by more than its framing overhead
-// (≤ 4 bytes per 64 KiB block plus slack for the last short block), so
-// one up-front allocation replaces the append-growth ladder.
-func stageDst(payloadLen int) []byte {
-	return make([]byte, 0, payloadLen+4*(payloadLen>>16)+16)
-}
-
-func (fseStage) Forward(ctx context.Context, payload []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return entropy.Compress(stageDst(len(payload)), payload), nil
-}
-
-func (fseStage) Inverse(ctx context.Context, payload []byte, sizeHint int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return entropy.DecompressCap(nil, payload, sizeHint)
-}
-
-// ---------------------------------------------------------------------
-// The huf stage: the multi-symbol entropy fast path as a payload
-// transform.
-
-// hufStage appends the entropy coder through its huf-selecting encoder:
-// per 64 KiB block the cheaper of raw/rle/fse/huf is chosen, so "+huf"
-// is never worse than "+fse" by more than the per-block mode slack and
-// decodes through the same entropy stream reader ("+huf" and "+fse"
-// frames are mutually decodable at the block layer; the spec suffix
-// records which encoder produced the stream). Stateless, like fseStage.
-type hufStage struct{}
-
-func init() {
-	registerStage("huf", func() (Stage, error) { return hufStage{}, nil })
-}
-
-func (hufStage) Name() string { return "huf" }
-func (hufStage) Spec() string { return "huf" }
-
-func (hufStage) Forward(ctx context.Context, payload []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return entropy.CompressHuf(stageDst(len(payload)), payload), nil
-}
-
-// ForwardSegments restarts block statistics at each lane boundary, so a
-// byte-group payload gets per-lane tables instead of blocks straddling
-// lanes with mixed distributions. The output is a plain entropy stream:
-// Inverse decodes it with no knowledge of the lane cuts.
-func (hufStage) ForwardSegments(ctx context.Context, payload []byte, bounds []int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := stageDst(len(payload) + 4*len(bounds))
-	prev := 0
-	for _, b := range bounds {
-		out = entropy.CompressHuf(out, payload[prev:b])
-		prev = b
-	}
-	return out, nil
-}
-
-func (hufStage) Inverse(ctx context.Context, payload []byte, sizeHint int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return entropy.DecompressCap(nil, payload, sizeHint)
 }

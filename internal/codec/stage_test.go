@@ -480,3 +480,98 @@ func TestStagedCorruptPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestStagedSizeHint pins the decompression-bomb bound, including on
+// 32-bit hosts: at maxElems the 8-bytes-per-element hint is 2 GiB,
+// which wraps a 32-bit int negative and would slip past the clamp.
+func TestStagedSizeHint(t *testing.T) {
+	for _, tc := range []struct {
+		shape []int
+		want  int
+	}{
+		{[]int{16384, 16384}, maxPayload},
+		{[]int{2, 3, 16, 16}, 8*2*3*16*16 + 64<<10},
+	} {
+		if got := stagedSizeHint(tc.shape); got != tc.want {
+			t.Errorf("stagedSizeHint(%v) = %d, want %d", tc.shape, got, tc.want)
+		}
+	}
+}
+
+// TestPooledInverseBufferNotRetained decodes two different staged
+// containers back to back through one codec, and two staged records
+// through one IndexedStream. The stage inverse hands its output buffer
+// back to the pool once the family decoder returns, so a decoder that
+// kept a view into its payload would see the first tensor change under
+// the second decode.
+func TestPooledInverseBufferNotRetained(t *testing.T) {
+	ctx := context.Background()
+	a := conformanceBatch()
+	b := a.Clone()
+	for i, v := range b.Data() {
+		b.Data()[i] = 1 - v
+	}
+	for fam, base := range stagedRepSpecs(t) {
+		for _, stage := range StageNames() {
+			spec := base + "+" + stage
+			t.Run(fam+"+"+stage, func(t *testing.T) {
+				c, err := New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ca, err := c.Compress(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cb, err := c.Compress(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := c.Decompress(ca)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := first.Clone()
+				second, err := c.Decompress(cb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bitsEqual(second, snap) {
+					t.Fatal("the two containers decode alike; the check needs different tensors")
+				}
+				if !bitsEqual(first, snap) {
+					t.Error("Decompress: first tensor changed under the second decode")
+				}
+
+				var buf bytes.Buffer
+				sw := NewStreamWriter(&buf)
+				if err := sw.SetIndex(true); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range []*tensor.Tensor{a, b} {
+					if err := sw.WriteTensor(ctx, c, x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				ix, err := OpenIndexedStream(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r0, err := ix.DecodeRange(ctx, 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap = r0[0].Clone()
+				if _, err := ix.DecodeRange(ctx, 1, 2); err != nil {
+					t.Fatal(err)
+				}
+				if !bitsEqual(r0[0], snap) {
+					t.Error("DecodeRange: first tensor changed under the second decode")
+				}
+			})
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -386,15 +387,11 @@ type StreamReader struct {
 	// markOff is the stream-relative offset of the pending record's
 	// marker byte, cross-checked against seekIdx before any seek-skip.
 	markOff int64
-	// codecs caches resolved codecs by spec: multi-record streams
-	// typically repeat one spec, and some backends (dctc) compile
-	// per-resolution state that must not be rebuilt per record.
-	codecs map[string]Codec
-	// shared, when non-nil, replaces the per-reader codec cache with the
-	// owning IndexedStream's mutex-guarded one, so the per-seek readers
-	// DecodeAt constructs share compiled codec state (see
-	// stream_index.go).
-	shared *IndexedStream
+	// codecs resolves record specs. The per-seek readers an
+	// IndexedStream constructs share the stream's cache, so compiled
+	// codec state is built once no matter how many parallel seeks hit
+	// the spec (see stream_index.go).
+	codecs *codecCache
 	// ra, when non-nil, is the background read-ahead state: the
 	// prefetch goroutine owns every field above and the public methods
 	// serve from ra's queue instead (see stream_parallel.go).
@@ -456,7 +453,7 @@ func (sr *StreamReader) Stats() StreamReaderStats {
 // instead of draining its chunks. The probe is best-effort — a missing
 // or malformed footer just leaves the reader in plain sequential mode.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	sr := &StreamReader{codecs: make(map[string]Codec)}
+	sr := &StreamReader{codecs: new(codecCache)}
 	if rs, ok := r.(io.ReadSeeker); ok {
 		if err := sr.probeIndex(rs); err != nil {
 			return nil, err
@@ -636,22 +633,35 @@ func (sr *StreamReader) nextRecord() (Header, error) {
 	return ret, nil
 }
 
-// lookupCodec resolves a codec for spec through the reader's cache — or,
-// for the per-seek readers an IndexedStream constructs, through the
-// stream's shared mutex-guarded cache, so compiled per-resolution codec
-// state is built once no matter how many parallel seeks hit the spec.
-func (sr *StreamReader) lookupCodec(spec string) (Codec, error) {
-	if sr.shared != nil {
-		return sr.shared.lookupCodec(spec)
-	}
-	if c, ok := sr.codecs[spec]; ok {
+// codecCache resolves codecs by spec and keeps them: multi-record
+// streams typically repeat one spec, and some backends (dctc) compile
+// per-resolution state that must not be rebuilt per record. Safe for
+// concurrent use; the zero value is ready.
+type codecCache struct {
+	mu sync.RWMutex
+	m  map[string]Codec
+}
+
+func (cc *codecCache) lookup(spec string) (Codec, error) {
+	cc.mu.RLock()
+	c, ok := cc.m[spec]
+	cc.mu.RUnlock()
+	if ok {
 		return c, nil
 	}
 	c, err := New(spec)
 	if err != nil {
 		return nil, err
 	}
-	sr.codecs[spec] = c
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if prev, ok := cc.m[spec]; ok {
+		return prev, nil
+	}
+	if cc.m == nil {
+		cc.m = make(map[string]Codec)
+	}
+	cc.m[spec] = c
 	return c, nil
 }
 
@@ -666,7 +676,7 @@ func (sr *StreamReader) decodeRecord(ctx context.Context) (*tensor.Tensor, error
 		return nil, fmt.Errorf("codec: no pending record (call Next first)")
 	}
 	start := telemetry.NowNanos()
-	c, err := sr.lookupCodec(sr.hdr.Spec)
+	c, err := sr.codecs.lookup(sr.hdr.Spec)
 	if err != nil {
 		return nil, sr.posw(fmt.Sprintf("record spec %q", sr.hdr.Spec), err)
 	}

@@ -284,8 +284,7 @@ type IndexedStream struct {
 	rebuilt bool
 	workers int
 
-	mu     sync.RWMutex
-	codecs map[string]Codec
+	codecs codecCache
 }
 
 // OpenIndexedStream opens a stream for random access. r must cover the
@@ -309,7 +308,7 @@ func OpenIndexedStream(r io.ReaderAt, size int64) (*IndexedStream, error) {
 	if err := checkStreamHeader(fixed[:]); err != nil {
 		return nil, err
 	}
-	ix := &IndexedStream{r: r, size: size, codecs: make(map[string]Codec)}
+	ix := &IndexedStream{r: r, size: size}
 	if err := ix.loadFooter(); err == nil {
 		streamM.iLoads.Inc()
 		return ix, nil
@@ -470,7 +469,7 @@ func (ix *IndexedStream) newRecordReader(off int64, rec, bufSize int) *StreamRea
 		br:     bufio.NewReaderSize(sec, bufSize),
 		off:    off,
 		rec:    rec,
-		shared: ix,
+		codecs: &ix.codecs,
 	}
 }
 
@@ -710,26 +709,4 @@ func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor
 		return nil, firstCancel
 	}
 	return out, nil
-}
-
-// lookupCodec resolves (and caches) a codec by spec under the stream's
-// lock, so concurrent DecodeAt calls share compiled codec state.
-func (ix *IndexedStream) lookupCodec(spec string) (Codec, error) {
-	ix.mu.RLock()
-	c, ok := ix.codecs[spec]
-	ix.mu.RUnlock()
-	if ok {
-		return c, nil
-	}
-	c, err := New(spec)
-	if err != nil {
-		return nil, err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if prev, ok := ix.codecs[spec]; ok {
-		return prev, nil
-	}
-	ix.codecs[spec] = c
-	return c, nil
 }

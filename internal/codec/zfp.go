@@ -235,16 +235,6 @@ func (b *zfpBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 	return total, nil
 }
 
-// fastRoundTrip keeps Codec.RoundTrip off the container path.
-func (b *zfpBackend) fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	out := tensor.New(x.Shape()...)
-	n, err := b.fastRoundTripInto(out, x)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, n, nil
-}
-
 // decodeStream decodes a planar zfp record incrementally, one
 // plane-group at a time; the fixed rate makes the exact payload size
 // checkable against the shape before the output tensor is allocated.
