@@ -21,8 +21,8 @@ import (
 //	             worker count
 //
 // scan_last vs seek_last is the headline the index footer buys; the
-// range rows record what the bounded worker pool does with real codec
-// work per record.
+// range rows record what the shared executor does with real codec work
+// per record.
 
 type seekBenchEntry struct {
 	Spec        string  `json:"spec"`

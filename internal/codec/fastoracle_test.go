@@ -9,13 +9,13 @@ import (
 // TestSetMaxWorkersSequential pins the deterministic-tests contract:
 // with the cap at 1 the pipeline must run planes in order on the
 // caller's goroutine, and the previous cap must round-trip through the
-// setter.
+// setter, the default reading as 0.
 func TestSetMaxWorkersSequential(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
 
 	var order []int
-	if err := forEachPlane(context.Background(), 32, func(p int) error {
+	if err := forEachPlane(context.Background(), 32, 0, func(p int) error {
 		order = append(order, p)
 		return nil
 	}); err != nil {
@@ -33,8 +33,8 @@ func TestSetMaxWorkersSequential(t *testing.T) {
 	if got := SetMaxWorkers(0); got != 8 {
 		t.Fatalf("SetMaxWorkers returned previous cap %d, want 8", got)
 	}
-	if maxWorkers < 1 {
-		t.Fatalf("reset cap %d, want ≥ 1", maxWorkers)
+	if got := SetMaxWorkers(-3); got != 0 {
+		t.Fatalf("reset cap reads %d, want 0 (GOMAXPROCS at each call)", got)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -14,7 +12,7 @@ import (
 // This file is the shared batch pipeline: every adapter whose codec is
 // plane-independent (all four families — DCT+Chop, ZFP, SZ and JPEG all
 // process trailing 2-D planes independently) fans a tensor's planes
-// across a GOMAXPROCS-bounded worker pool, with sync.Pool-reused
+// across the shared executor (tensor.ParallelPlanes), with sync.Pool-reused
 // float32 scratch buffers for the packing/staging copies.
 //
 // Plane-framed payload layout (little-endian):
@@ -23,96 +21,86 @@ import (
 //	u32 × count  per-plane payload lengths
 //	concatenated per-plane payloads
 
-// maxWorkers bounds pipeline concurrency. It tracks the scheduler's
-// actual parallelism budget — runtime.GOMAXPROCS(0), not NumCPU — so a
-// process confined to fewer Ps than cores does not oversubscribe.
-var maxWorkers = runtime.GOMAXPROCS(0)
+// SetMaxWorkers sets the process-wide cap on the goroutines that run
+// one parallel loop (see tensor.SetMaxWorkers) and returns the previous
+// setting; n < 1 restores the default, GOMAXPROCS, which reads as 0.
+// Tests pin the cap to 1 to make plane execution order deterministic.
+// Safe to call while compressions run: a loop reads the cap as it starts.
+func SetMaxWorkers(n int) int { return tensor.SetMaxWorkers(n) }
 
-// SetMaxWorkers overrides the pipeline worker cap and returns the
-// previous value. n < 1 resets to runtime.GOMAXPROCS(0). Tests pin the
-// cap to 1 to make plane execution order deterministic; restore the
-// returned value when done. Not safe to call concurrently with
-// in-flight compressions.
-func SetMaxWorkers(n int) int {
-	prev := maxWorkers
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	maxWorkers = n
-	return prev
+// planeLoop is forEachPlane's pooled job on the shared executor.
+type planeLoop struct {
+	ctx context.Context // nil when the context can never be cancelled
+	fn  func(p int) error
+
+	mu    sync.Mutex
+	err   error // the failure with the lowest rank
+	errAt int64 // its rank: the plane index, +1<<32 if cancellation-kinded
 }
 
-// forEachPlane runs fn(p) for p in [0, planes) on a bounded worker
-// pool. Every claimed plane runs to completion and errors are collected
-// per plane, so the same bad input always reports the lowest-indexed
-// failing plane regardless of worker scheduling. Cancelling ctx is the
-// one early exit: workers stop claiming planes and the context error is
-// returned (wrapped, satisfying errors.Is) unless a plane that already
-// ran failed first.
-func forEachPlane(ctx context.Context, planes int, fn func(p int) error) error {
+// planeLoops is the free list of planeLoop jobs; a channel rather than
+// a sync.Pool, which pays an allocation after every GC. It holds one
+// job per loop that can be open at once — nesting depth times external
+// callers — with room to spare; past that, a loop allocates its job.
+var planeLoops = make(chan *planeLoop, 64)
+
+// RunPlane runs fn(p) unless the loop's context is done, keeping the
+// lowest-ranked failure.
+func (l *planeLoop) RunPlane(p int) {
+	if l.ctx != nil && l.ctx.Err() != nil {
+		return
+	}
+	err := l.fn(p)
+	if err == nil {
+		return
+	}
+	at := int64(p)
+	if ErrorKind(err) == "canceled" {
+		at += 1 << 32
+	}
+	l.mu.Lock()
+	if l.err == nil || at < l.errAt {
+		l.err, l.errAt = err, at
+	}
+	l.mu.Unlock()
+}
+
+// forEachPlane runs fn(p) for p in [0, planes) on the shared executor
+// (tensor.ParallelPlanes), with at most workers goroutines (workers < 1:
+// the SetMaxWorkers cap). Every started plane runs to completion and
+// the lowest-indexed failure is returned whatever the scheduling, so the
+// same bad input always reports the same plane. A cancellation-kinded
+// plane error is fallout from a cancel elsewhere and never masks another
+// failure. Cancelling ctx, before or during the loop, is the one early
+// exit: no further plane starts, and the context error is returned
+// (wrapped, satisfying errors.Is) unless a plane failed.
+func forEachPlane(ctx context.Context, planes, workers int, fn func(p int) error) error {
 	if planes <= 0 {
 		return nil
 	}
+	var l *planeLoop
+	select {
+	case l = <-planeLoops:
+	default:
+		l = new(planeLoop)
+	}
 	// context.Background and friends have a nil Done channel; skip the
 	// per-plane cancellation checks entirely for them.
-	cancellable := ctx.Done() != nil
-	if cancellable && ctx.Err() != nil {
-		return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline: %w", ctx.Err()))
+	if ctx.Done() != nil {
+		l.ctx = ctx
 	}
-	workers := maxWorkers
-	if workers > planes {
-		workers = planes
+	l.fn = fn
+	tensor.ParallelPlanes(planes, workers, l)
+	err := l.err
+	if err == nil && l.ctx != nil && ctx.Err() != nil {
+		err = markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline of %d planes cancelled: %w", planes, ctx.Err()))
 	}
-	if workers <= 1 {
-		for p := 0; p < planes; p++ {
-			if cancellable && ctx.Err() != nil {
-				return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline cancelled before plane %d: %w", p, ctx.Err()))
-			}
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-		return nil
+	l.ctx, l.fn, l.err = nil, nil, nil
+	select {
+	case planeLoops <- l:
+	default:
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	// Each worker writes only the slots it claimed; wg.Wait orders every
-	// write before the scan below, so the slice needs no further locking.
-	errs := make([]error, planes)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if cancellable && ctx.Err() != nil {
-					return
-				}
-				p := int(next.Add(1)) - 1
-				if p >= planes {
-					return
-				}
-				errs[p] = fn(p)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if cancellable {
-		if err := ctx.Err(); err != nil {
-			claimed := int(next.Load())
-			if claimed > planes {
-				claimed = planes
-			}
-			return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline cancelled after claiming %d of %d planes: %w", claimed, planes, err))
-		}
-	}
-	return nil
+	return err
 }
 
 // scratchPool recycles float32 staging buffers across planes and calls.
@@ -177,7 +165,7 @@ func compressPlanes(ctx context.Context, x *tensor.Tensor, h, w int, enc func(p 
 	}
 	planes := x.Len() / (h * w)
 	parts := make([][]byte, planes)
-	err := forEachPlane(ctx, planes, func(p int) error {
+	err := forEachPlane(ctx, planes, 0, func(p int) error {
 		plane := tensor.FromSlice(x.Data()[p*h*w:(p+1)*h*w], h, w)
 		out, err := enc(p, plane)
 		if err != nil {
@@ -256,7 +244,7 @@ func decompressPlaneRange(ctx context.Context, out *tensor.Tensor, h, w, first i
 	if last := first + len(parts); first < 0 || last > out.Len()/(h*w) {
 		return fmt.Errorf("codec: plane range [%d,%d) outside tensor's %d planes", first, last, out.Len()/(h*w))
 	}
-	return forEachPlane(ctx, len(parts), func(i int) error {
+	return forEachPlane(ctx, len(parts), 0, func(i int) error {
 		p := first + i
 		plane := tensor.FromSlice(out.Data()[p*h*w:(p+1)*h*w], h, w)
 		if err := dec(p, parts[i], plane); err != nil {

@@ -16,7 +16,7 @@ import (
 func TestForEachPlaneRunsAll(t *testing.T) {
 	const planes = 137
 	var hits [planes]atomic.Int32
-	if err := forEachPlane(context.Background(), planes, func(p int) error {
+	if err := forEachPlane(context.Background(), planes, 0, func(p int) error {
 		hits[p].Add(1)
 		return nil
 	}); err != nil {
@@ -31,7 +31,7 @@ func TestForEachPlaneRunsAll(t *testing.T) {
 
 func TestForEachPlanePropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEachPlane(context.Background(), 64, func(p int) error {
+	err := forEachPlane(context.Background(), 64, 0, func(p int) error {
 		if p == 13 {
 			return boom
 		}
@@ -184,12 +184,12 @@ func ExampleNew() {
 // is made the slowest failure by spinning until every other plane is
 // claimed, so a first-error-wins implementation would report plane 40.
 func TestForEachPlaneLowestIndexedError(t *testing.T) {
-	defer SetMaxWorkers(SetMaxWorkers(4)) // force the concurrent path
+	withConcurrency(t, 4) // force the concurrent path, even on one CPU
 	const planes = 64
 	var claimed atomic.Int64
 	err3 := errors.New("plane 3 failed")
 	err40 := errors.New("plane 40 failed")
-	err := forEachPlane(context.Background(), planes, func(p int) error {
+	err := forEachPlane(context.Background(), planes, 0, func(p int) error {
 		claimed.Add(1)
 		switch p {
 		case 3:

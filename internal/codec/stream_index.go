@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -282,7 +280,7 @@ type IndexedStream struct {
 	size    int64
 	entries []indexEntry
 	rebuilt bool
-	workers int
+	workers atomic.Int64 // DecodeRange's cap; 0 = the SetMaxWorkers cap
 
 	codecs codecCache
 }
@@ -577,15 +575,16 @@ func (ix *IndexedStream) Header(i int) (Header, error) {
 	return Header{Spec: e.spec, Shape: append([]int(nil), e.shape...)}, nil
 }
 
-// SetConcurrency caps DecodeRange's worker pool. n == 0 (the default)
-// means one worker per runtime.GOMAXPROCS(0); n ≥ 1 sets an explicit
-// cap. Unlike the sequential engines this may be changed at any time —
-// it only affects subsequent DecodeRange calls.
+// SetConcurrency caps the goroutines that decode one DecodeRange on
+// the shared executor. n == 0 (the default) means the process-wide
+// SetMaxWorkers cap; n ≥ 1 sets an explicit cap, never above
+// runtime.GOMAXPROCS(0). Unlike the sequential engines this may be
+// changed at any time — it only affects subsequent DecodeRange calls.
 func (ix *IndexedStream) SetConcurrency(n int) error {
 	if n < 0 {
 		return fmt.Errorf("codec: negative concurrency %d", n)
 	}
-	ix.workers = n
+	ix.workers.Store(int64(n))
 	return nil
 }
 
@@ -640,73 +639,36 @@ func equalShape(a, b []int) bool {
 	return true
 }
 
-// DecodeRange decodes records [lo, hi) concurrently on a bounded worker
-// pool (see SetConcurrency) and returns them in record order. On
-// failure the in-flight decodes are cancelled and the lowest-indexed
-// causal error is returned (cancellation fallout from sibling workers
-// does not mask it).
+// DecodeRange decodes records [lo, hi) concurrently on the shared
+// executor (see SetConcurrency) and returns them in record order. The
+// first failure cancels the decodes still in flight, and the
+// lowest-indexed causal error is returned: cancellation fallout from
+// sibling decodes does not mask it.
 func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor.Tensor, error) {
 	if lo < 0 || hi > len(ix.entries) || lo > hi {
 		return nil, fmt.Errorf("codec: record range [%d,%d) outside [0,%d)", lo, hi, len(ix.entries))
 	}
-	n := hi - lo
-	if n == 0 {
+	if lo == hi {
 		return nil, ctx.Err()
-	}
-	workers := ix.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([]*tensor.Tensor, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || wctx.Err() != nil {
-					return
-				}
-				t, err := ix.DecodeAt(wctx, lo+i)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-				out[i] = t
-				streamM.iRangeRecords.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	// Deterministic error selection: prefer the lowest-indexed causal
-	// failure; a sibling's cancellation fallout only surfaces when no
-	// worker recorded anything else.
-	var firstCancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	out := make([]*tensor.Tensor, hi-lo)
+	err := forEachPlane(wctx, len(out), int(ix.workers.Load()), func(i int) error {
+		t, err := ix.DecodeAt(wctx, lo+i)
+		if err != nil {
+			cancel()
+			return err
 		}
-		if ErrorKind(err) != "canceled" {
-			return nil, err
-		}
-		if firstCancel == nil {
-			firstCancel = err
-		}
+		out[i] = t
+		streamM.iRangeRecords.Inc()
+		return nil
+	})
+	if err != nil && ctx.Err() != nil && ErrorKind(err) == "canceled" {
+		return nil, markErr(ErrCanceled, fmt.Errorf("codec: range decode aborted: %w", ctx.Err()))
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, markErr(ErrCanceled, fmt.Errorf("codec: range decode aborted: %w", err))
-	}
-	if firstCancel != nil {
-		return nil, firstCancel
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -334,7 +334,7 @@ func (c *Compressor) CompressInto(dst *Compressed, x *tensor.Tensor) error {
 	j.x = x.Data()
 	j.y = dst
 	j.decomp = false
-	tensor.ParallelPlanes(bd*ch*len(dst.Chunks), j)
+	tensor.ParallelPlanes(bd*ch*len(dst.Chunks), 0, j)
 	c.putJob(j)
 	return nil
 }
@@ -373,7 +373,7 @@ func (c *Compressor) DecompressInto(dst *tensor.Tensor, y *Compressed) error {
 	j.x = dst.Data()
 	j.y = y
 	j.decomp = true
-	tensor.ParallelPlanes(bd*ch*len(y.Chunks), j)
+	tensor.ParallelPlanes(bd*ch*len(y.Chunks), 0, j)
 	c.putJob(j)
 	return nil
 }

@@ -3,11 +3,10 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-	"sync"
 )
 
 // matmulParallelFlops is the multiply-add count (m·n·k) above which
-// MatMul fans work out across GOMAXPROCS workers. Gating on FLOPs rather
+// MatMul fans work out across the shared executor. Gating on FLOPs rather
 // than output size m·n keeps skinny products with a huge inner dimension
 // k parallel (their work is real even though the output is small) while
 // the 8×8 block transforms that dominate unit tests stay single-threaded,
@@ -44,11 +43,18 @@ func MatMulInto(dst, a, b *Tensor) {
 }
 
 func matmulInto(c, a, b []float32, m, k, n int) {
-	if m*n*k >= matmulParallelFlops && m > 1 {
-		matmulParallel(c, a, b, m, k, n)
+	bands := 1
+	if m*n*k >= matmulParallelFlops {
+		bands = min(runtime.GOMAXPROCS(0), m)
+	}
+	if bands < 2 {
+		matmulRange(c, a, b, 0, m, k, n)
 		return
 	}
-	matmulRange(c, a, b, 0, m, k, n)
+	// One row band per P; a lower worker cap runs several per worker.
+	ParallelFor(bands, func(w int) {
+		matmulRange(c, a, b, w*m/bands, (w+1)*m/bands, k, n)
+	})
 }
 
 // matmulRange computes rows [lo,hi) of C = A×B with an i-k-j loop: the
@@ -71,27 +77,6 @@ func matmulRange(c, a, b []float32, lo, hi, k, n int) {
 			}
 		}
 	}
-}
-
-func matmulParallel(c, a, b []float32, m, k, n int) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matmulRange(c, a, b, lo, hi, k, n)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MatMulNaive is the textbook triple loop, kept as the reference
@@ -133,7 +118,7 @@ func BatchedMatMul(a, b *Tensor) *Tensor {
 	outShape := cloneInts(a.shape)
 	outShape[len(outShape)-1] = n
 	c := New(outShape...)
-	parallelFor(batch, func(i int) {
+	ParallelFor(batch, func(i int) {
 		matmulRange(c.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data, 0, m, k, n)
 	})
 	return c
@@ -158,7 +143,7 @@ func BatchedMatMulInto(dst, a, b *Tensor) {
 		dst.shape[len(dst.shape)-1] != n || len(dst.data) != batch*m*n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulInto dst %v = %v × %v", dst.shape, a.shape, b.shape))
 	}
-	parallelFor(batch, func(i int) {
+	ParallelFor(batch, func(i int) {
 		matmulRange(dst.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data, 0, m, k, n)
 	})
 }
@@ -179,7 +164,7 @@ func BatchedMatMulLeft(b, a *Tensor) *Tensor {
 	outShape := cloneInts(a.shape)
 	outShape[len(outShape)-2] = m
 	c := New(outShape...)
-	parallelFor(batch, func(i int) {
+	ParallelFor(batch, func(i int) {
 		matmulRange(c.data[i*m*n:(i+1)*m*n], b.data, a.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 	})
 	return c
@@ -203,42 +188,7 @@ func BatchedMatMulLeftInto(dst, b, a *Tensor) {
 		dst.shape[len(dst.shape)-1] != n || len(dst.data) != batch*m*n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulLeftInto dst %v = %v × %v", dst.shape, b.shape, a.shape))
 	}
-	parallelFor(batch, func(i int) {
+	ParallelFor(batch, func(i int) {
 		matmulRange(dst.data[i*m*n:(i+1)*m*n], b.data, a.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 	})
 }
-
-// parallelFor runs f(i) for i in [0,n), fanning out across GOMAXPROCS
-// workers when n is large enough to justify it.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < 2 || workers < 2 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParallelFor exposes the worker-pool loop for other packages (the NN
-// substrate uses it for per-sample convolution work).
-func ParallelFor(n int, f func(i int)) { parallelFor(n, f) }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -80,10 +81,18 @@ type countJob struct {
 
 func (j *countJob) RunPlane(p int) { atomic.AddInt32(&j.hits[p], 1) }
 
+// withProcs raises GOMAXPROCS for the rest of the test, so the executor
+// has helpers to hand out even on a one-CPU host.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestParallelPlanesCoversAllIndices(t *testing.T) {
+	withProcs(t, 4)
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000} {
 		j := &countJob{hits: make([]int32, n)}
-		ParallelPlanes(n, j)
+		ParallelPlanes(n, 0, j)
 		for i, h := range j.hits {
 			if h != 1 {
 				t.Fatalf("n=%d: plane %d visited %d times", n, i, h)
@@ -92,37 +101,56 @@ func TestParallelPlanesCoversAllIndices(t *testing.T) {
 	}
 }
 
-// reentrantJob calls ParallelPlanes from inside RunPlane. The outer
-// round holds the pool, so the inner call must fall back to serial
-// execution instead of deadlocking.
+// reentrantJob calls ParallelPlanes from inside RunPlane: the inner
+// round opens while the outer one holds helpers, and must still finish.
 type reentrantJob struct {
-	inner *countJob
+	inner []*countJob
 }
 
 func (j *reentrantJob) RunPlane(p int) {
-	if p == 0 {
-		ParallelPlanes(len(j.inner.hits), j.inner)
-	}
+	ParallelPlanes(len(j.inner[p].hits), 0, j.inner[p])
 }
 
-func TestParallelPlanesBusyPoolFallsBackToSerial(t *testing.T) {
-	inner := &countJob{hits: make([]int32, 8)}
-	ParallelPlanes(4, &reentrantJob{inner: inner})
-	for i, h := range inner.hits {
-		if h != 1 {
-			t.Fatalf("inner plane %d visited %d times", i, h)
+func TestParallelPlanesNested(t *testing.T) {
+	withProcs(t, 4)
+	outer := &reentrantJob{inner: make([]*countJob, 8)}
+	for i := range outer.inner {
+		outer.inner[i] = &countJob{hits: make([]int32, 16)}
+	}
+	ParallelPlanes(len(outer.inner), 0, outer)
+	for o, inner := range outer.inner {
+		for i, h := range inner.hits {
+			if h != 1 {
+				t.Fatalf("outer plane %d: inner plane %d visited %d times", o, i, h)
+			}
 		}
 	}
 }
 
+// TestHelpersFollowGOMAXPROCS: the helper set is sized from GOMAXPROCS
+// at call time, so raising it after first use still buys helpers.
+func TestHelpersFollowGOMAXPROCS(t *testing.T) {
+	withProcs(t, 2)
+	ParallelPlanes(8, 0, &countJob{hits: make([]int32, 8)})
+	runtime.GOMAXPROCS(6)
+	ParallelPlanes(8, 0, &countJob{hits: make([]int32, 8)})
+	exec.mu.Lock()
+	got := exec.helpers
+	exec.mu.Unlock()
+	if got < 5 {
+		t.Fatalf("%d helpers after a round at GOMAXPROCS=6, want ≥ 5", got)
+	}
+}
+
 // TestParallelPlanesAllocs pins the dispatch contract: handing a round
-// to the persistent pool must not allocate. The job is a pooled struct
+// to the executor must not allocate. The job is a pooled struct
 // pointer, so the interface conversion doesn't allocate either.
 func TestParallelPlanesAllocs(t *testing.T) {
+	withProcs(t, 4)
 	j := &countJob{hits: make([]int32, 64)}
-	ParallelPlanes(64, j) // warm up: spawn workers
+	ParallelPlanes(64, 0, j) // warm up: spawn helpers
 	allocs := testing.AllocsPerRun(20, func() {
-		ParallelPlanes(64, j)
+		ParallelPlanes(64, 0, j)
 	})
 	if allocs != 0 {
 		t.Fatalf("ParallelPlanes allocates %.1f objects per round, want 0", allocs)
