@@ -41,8 +41,17 @@ ACC_DISABLE_SIMD=1 go test -count=1 \
 # runtime allocates), so run them again without it: the entropy
 # backend's steady-state pool discipline and the pooled registry round
 # trips must both report 0 allocs/op.
-go test ./internal/entropy/ -run TestZeroAllocSteadyState -count=1
+go test ./internal/entropy/ -run 'TestZeroAllocSteadyState|TestHufZeroAllocSteadyState' -count=1
 go test ./internal/codec/ -run TestRoundTripIntoAllocs -count=1
+# Differential fuzzing, time-boxed: FuzzDecode feeds mutated entropy
+# streams to the fast decoder and the bit-serial oracle and fails on
+# any disagreement in verdict or output. A crasher lands under
+# internal/entropy/testdata/fuzz/ and belongs in the commit as a seed.
+# Minimizing a new input runs the oracle thousands of times; at the
+# default 60 s bound the first new input ate the whole run (~6k execs),
+# at 2 s the run reaches ~50k.
+go test ./internal/entropy/ -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s -fuzzminimizetime 2s
+
 # Telemetry alloc gates: the instrumented fused round trip must stay
 # 0 allocs/op with telemetry enabled, and the pipelined stream engine
 # must allocate no more with it on than off.

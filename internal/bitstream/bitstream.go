@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -58,16 +57,6 @@ func (w *Writer) Reset() {
 	w.n = 0
 	w.bits = 0
 	w.sealed = false
-}
-
-// Grow ensures the buffer can absorb n more bytes without
-// reallocating, so encoders that know a stream's size bound can
-// collapse the append-growth ladder (a pool Writer that survived a GC
-// restarts from an empty buffer) into at most one allocation.
-func (w *Writer) Grow(n int) {
-	if cap(w.buf)-len(w.buf) < n {
-		w.buf = slices.Grow(w.buf, n)
-	}
 }
 
 func (w *Writer) flushWord() {

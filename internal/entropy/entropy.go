@@ -1,8 +1,10 @@
 // Package entropy is the shared table-driven entropy backend for the
 // codec stage pipeline: a tANS/FSE-style coder (histogram → normalized
 // power-of-two table → two-state interleaved encode/decode) over byte
-// payloads, in the style of klauspost/compress's FSE/huff0 but built on
-// this repository's word-at-a-time internal/bitstream.
+// payloads, in the style of klauspost/compress's FSE/huff0. As there,
+// every inner loop keeps its bit container in local variables — a
+// 64-bit accumulator plus a bit count and a byte position — instead of
+// calling a bit reader or writer per symbol.
 //
 // The coder is byte-oriented and payload-agnostic: any codec family's
 // serialized payload — quantized DCT coefficient bytes, zfp bit-planes,
@@ -27,10 +29,18 @@
 // the block backwards (symbol n-1 first), alternating two states by
 // symbol-index parity, and the decoder walks forwards consuming bits in
 // exactly the reverse order of emission — so the encoder records each
-// step's bit chunk and replays them reversed through the bit writer.
-// Every step reads table-bounded state transitions, so a decoder fed a
-// valid table never indexes out of range; truncation surfaces on the
-// reader's sticky overread flag.
+// step's bit chunk at its symbol index and replays them forwards. Every
+// step reads table-bounded state transitions, so a decoder fed a valid
+// table never indexes out of range; truncation shows as more bits
+// consumed than the stream holds.
+//
+// The encoders sum the chunk widths (fse) or measure the streams (huf)
+// before the raw-fallback decision, and push four chunks or codes per
+// accumulator update, each update storing the whole accumulator as one
+// big-endian word and advancing past the completed bytes, so no push
+// branches on a flush. The fse decoder refills a left-aligned 64-bit
+// buffer 8 bytes at a time and decodes four symbols per refill; a
+// zero-padded byte-wise tail finishes the block.
 //
 // Compress never fails and never expands a payload by more than the
 // per-block framing overhead: blocks whose fse body would match or
@@ -51,7 +61,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/bitstream"
 	"repro/internal/vecops"
 )
 
@@ -84,19 +93,23 @@ type scratch struct {
 	syms [256]uint8 // present symbols, in ascending order
 	cum  [257]int32 // cumulative normalized counts over present symbols
 
-	// decode table: sym<<24 | nbBits<<16 | newStateBase (base < 1<<12).
-	dtable []uint32
+	// decode table: sym<<24 | nbBits<<16 | newStateBase (base < 1<<12),
+	// sized for the largest table so the decode loop's masked state
+	// indexes need no bounds checks.
+	dtable [1 << maxTableLog]uint32
 	// encode table: posTable[cum[s]+(x-freq)] = table position of x.
 	ptable []uint16
-	// per-symbol encode params, indexed by symbol value. cumStart[s] is
+	// per-symbol encode params, indexed by symbol value. A step from
+	// state v emits (v + deltaNb[s]) >> 16 bits: deltaNb[s] is
+	// maxBits<<16 - (norm[s]<<maxBits), so states below that threshold
+	// borrow one bit, without a branch. cumStart[s] is
 	// cum[rank(s)] - norm[s], so ptable[cumStart[s]+q] maps an encode
 	// step's quotient q ∈ [norm, 2·norm) straight to its table position.
-	maxBits   [256]uint8
-	threshold [256]uint32
-	cumStart  [256]int32
+	deltaNb  [256]uint32
+	cumStart [256]int32
 
 	// chunks records the encoder's per-step emissions (width<<12 | bits)
-	// for the reversed replay.
+	// at their symbol indexes, for the forward replay.
 	chunks []uint16
 
 	// spread order scratch for table construction.
@@ -114,6 +127,7 @@ type scratch struct {
 	henc    [256]uint16          // canonical code<<4 | length
 	hlut1   [hufLutSize]uint16   // symbol<<8 | length per 11-bit probe
 	hlut    [hufLutSize]uint32   // multi-symbol entries (see hufBuildLUT)
+	hbuf    []byte               // the encoder's four streams, back to back
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -122,12 +136,10 @@ func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
 func (s *scratch) sized(tableSize, blockLen int) {
-	if cap(s.dtable) < tableSize {
-		s.dtable = make([]uint32, tableSize)
+	if cap(s.ptable) < tableSize {
 		s.ptable = make([]uint16, tableSize)
 		s.tsym = make([]uint8, tableSize)
 	}
-	s.dtable = s.dtable[:tableSize]
 	s.ptable = s.ptable[:tableSize]
 	s.tsym = s.tsym[:tableSize]
 	if cap(s.chunks) < blockLen+2 {
@@ -195,9 +207,10 @@ func tableLogFor(blockLen, nsym int) int {
 
 // normalize scales the histogram of the present symbols to sum exactly
 // 1<<tableLog with every present count ≥ 1, filling s.norm and s.cum.
-// The largest-remainder rounding plus the deterministic fix-up loops
-// below are format-defining: the reference implementation must produce
-// the identical table, so both paths share this function.
+// The largest-remainder rounding plus the deterministic drift repair
+// below are format-defining: the reference implementation's
+// refNormalize, which repairs one unit at a time, must produce the
+// identical table.
 func (s *scratch) normalize(blockLen, nsym, tableLog int) {
 	target := int32(1) << tableLog
 	total := int64(blockLen)
@@ -225,7 +238,10 @@ func (s *scratch) normalize(blockLen, nsym, tableLog int) {
 		s.norm[s.syms[best]]--
 		sum--
 	}
-	for sum < target {
+	// Growing one unit at a time would pick the first largest count,
+	// which then stays the unique largest, so the whole deficit goes to
+	// it at once.
+	if sum < target {
 		best := 0
 		bestN := s.norm[s.syms[0]]
 		for i := 1; i < nsym; i++ {
@@ -233,8 +249,7 @@ func (s *scratch) normalize(blockLen, nsym, tableLog int) {
 				best, bestN = i, n
 			}
 		}
-		s.norm[s.syms[best]]++
-		sum++
+		s.norm[s.syms[best]] += uint16(target - sum)
 	}
 	s.cum[0] = 0
 	for i := 0; i < nsym; i++ {
@@ -251,7 +266,7 @@ func spreadStep(tableSize int) int {
 
 // buildTables constructs the decode table (position → symbol, bit
 // count, next-state base) and the encode tables (per-symbol position
-// lookup and bit-count thresholds) from the normalized counts.
+// lookup and bit-count deltas) from the normalized counts.
 func (s *scratch) buildTables(nsym, tableLog int) {
 	size := 1 << tableLog
 	step, mask := spreadStep(size), size-1
@@ -276,9 +291,8 @@ func (s *scratch) buildTables(nsym, tableLog int) {
 		next[sym] = int32(s.norm[sym])
 		symIndex[sym] = s.cum[i]
 		f := uint32(s.norm[sym])
-		mb := uint8(tableLog) - uint8(bits.Len32(f)-1)
-		s.maxBits[sym] = mb
-		s.threshold[sym] = f << mb
+		mb := uint32(tableLog) - uint32(bits.Len32(f)-1)
+		s.deltaNb[sym] = mb<<16 - f<<mb
 		s.cumStart[sym] = s.cum[i] - int32(f)
 	}
 	for p := 0; p < size; p++ {
@@ -327,46 +341,50 @@ func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 	st.buildTables(nsym, tableLog)
 
 	// Walk the block backwards, alternating states by index parity, and
-	// record each step's emitted chunk for the reversed replay.
+	// record each step's emitted chunk at its symbol index: the decoder
+	// consumes symbol 0's bits first, so the replay below reads forward.
+	// The widths are summed on the way, which sizes the body before any
+	// byte is emitted.
+	n := len(block)
+	chunks := st.chunks[:n]
+	deltaNb := &st.deltaNb
+	cumStart, ptable := &st.cumStart, st.ptable
 	v0, v1 := uint32(2*size-1), uint32(2*size-1)
-	for i := len(block) - 1; i >= 0; i-- {
+	payloadBits := 2 * tableLog
+	i := n - 1
+	if i&1 == 0 { // odd length: the last symbol belongs to state 0
 		sym := block[i]
-		v := &v0
-		if i&1 == 1 {
-			v = &v1
-		}
-		nb := uint32(st.maxBits[sym])
-		if *v < st.threshold[sym] {
-			nb--
-		}
-		st.chunks = append(st.chunks, uint16(nb<<12)|uint16(*v&(1<<nb-1)))
-		q := *v >> nb // ∈ [freq, 2·freq)
-		*v = uint32(size) + uint32(st.ptable[st.cumStart[sym]+int32(q)])
+		nb := (v0 + deltaNb[sym]) >> 16
+		chunks[i] = uint16(nb<<12) | uint16(v0&(1<<nb-1))
+		payloadBits += int(nb)
+		v0 = uint32(size) + uint32(ptable[cumStart[sym]+int32(v0>>nb)])
+		i--
+	}
+	for ; i > 0; i -= 2 {
+		sym := block[i]
+		nb := (v1 + deltaNb[sym]) >> 16
+		chunks[i] = uint16(nb<<12) | uint16(v1&(1<<nb-1))
+		payloadBits += int(nb)
+		v1 = uint32(size) + uint32(ptable[cumStart[sym]+int32(v1>>nb)])
+
+		sym = block[i-1]
+		nb = (v0 + deltaNb[sym]) >> 16
+		chunks[i-1] = uint16(nb<<12) | uint16(v0&(1<<nb-1))
+		payloadBits += int(nb)
+		v0 = uint32(size) + uint32(ptable[cumStart[sym]+int32(v0>>nb)])
 	}
 
-	bw := bitstream.GetWriter()
-	// A body larger than the block falls back to raw below, so the
-	// block length bounds the useful stream size; one Grow spares a
-	// cold pool Writer the growth ladder.
-	bw.Grow(len(block) + 16)
-	bw.WriteBits(uint64(v0)-uint64(size), uint(tableLog))
-	bw.WriteBits(uint64(v1)-uint64(size), uint(tableLog))
-	for i := len(st.chunks) - 1; i >= 0; i-- {
-		c := st.chunks[i]
-		bw.WriteBits(uint64(c&0xFFF), uint(c>>12))
-	}
-	body := bw.Bytes()
-
-	bodyLen := 2 + 3*nsym + len(body)
+	streamLen := (payloadBits + 7) / 8
+	bodyLen := 2 + 3*nsym + streamLen
 	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
 	if headLen+bodyLen >= 1+uvarintLen(uint64(len(block)))+len(block) {
-		bitstream.PutWriter(bw)
 		backendRaw.Inc()
 		dst = appendBlockHeader(dst, modeRaw, len(block))
 		return append(dst, block...)
 	}
 
 	backendFSE.Inc()
+	dst = slices.Grow(dst, headLen+bodyLen+8) // +8: the last word store
 	dst = appendBlockHeader(dst, modeFSE, len(block))
 	dst = binary.AppendUvarint(dst, uint64(bodyLen))
 	dst = append(dst, byte(tableLog), byte(nsym-1))
@@ -374,9 +392,36 @@ func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 		sym := st.syms[i]
 		dst = append(dst, sym, byte(st.norm[sym]), byte(st.norm[sym]>>8))
 	}
-	dst = append(dst, body...)
-	bitstream.PutWriter(bw)
-	return dst
+
+	// MSB-first emission straight into dst through a local accumulator
+	// holding its pending bits right-aligned: four chunks of ≤ 12 bits
+	// join the < 8 pending bits per push, and every push stores the
+	// whole accumulator as one big-endian word and advances past the
+	// completed bytes (the partial byte is rewritten next time).
+	out := dst[len(dst) : len(dst)+streamLen+8]
+	acc := uint64(v0-uint32(size))<<tableLog | uint64(v1-uint32(size))
+	nacc := uint(2 * tableLog)
+	binary.BigEndian.PutUint64(out, acc<<(64-nacc))
+	o := int(nacc >> 3)
+	nacc &= 7
+	for c := chunks; len(c) >= 4; c = c[4:] {
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		w1, w23 := uint(c1>>12), uint(c2>>12)+uint(c3>>12)
+		v01 := uint64(c0&0xFFF)<<w1 | uint64(c1&0xFFF)
+		v23 := uint64(c2&0xFFF)<<(c3>>12) | uint64(c3&0xFFF)
+		w := uint(c0>>12) + w1 + w23
+		acc = acc<<w | v01<<w23 | v23
+		nacc += w
+		binary.BigEndian.PutUint64(out[o:], acc<<(64-nacc))
+		o += int(nacc >> 3)
+		nacc &= 7
+	}
+	for _, c := range chunks[n&^3:] {
+		acc = acc<<(c>>12) | uint64(c&0xFFF)
+		nacc += uint(c >> 12)
+	}
+	binary.BigEndian.PutUint64(out[o:], acc<<(64-nacc))
+	return dst[:len(dst)+streamLen]
 }
 
 func uvarintLen(v uint64) int {
@@ -540,44 +585,107 @@ func parseTable(body []byte, st *scratch) (tableLog int, stream []byte, err erro
 }
 
 // decodeFSEBody rebuilds rawLen bytes from one fse body using the fast
-// table-driven two-state loop.
+// table-driven two-state loop. The bit container lives in locals: a
+// left-aligned 64-bit buffer refilled 8 bytes at a time while that many
+// remain, then byte by byte with zero padding past the end of the
+// stream. Table construction bounds every transition inside the table,
+// so the loops need no per-step range checks; truncation shows as more
+// bits consumed than the stream holds, checked once after the block.
 func decodeFSEBody(dst, body []byte, rawLen int, st *scratch) ([]byte, error) {
 	tableLog, stream, err := parseTable(body, st)
 	if err != nil {
 		return nil, err
 	}
-	var br bitstream.Reader
-	br.Reset(stream)
-	s0, err := br.ReadBits(uint(tableLog))
-	if err != nil {
+	if 8*len(stream) < 2*tableLog {
 		return nil, fmt.Errorf("entropy: bitstream truncated before initial states")
 	}
-	s1, err := br.ReadBits(uint(tableLog))
-	if err != nil {
-		return nil, fmt.Errorf("entropy: bitstream truncated before initial states")
-	}
-	p0, p1 := uint32(s0), uint32(s1)
+	base := len(dst)
+	dst = slices.Grow(dst, rawLen)[:base+rawLen]
+	out := dst[base:]
+	dt := &st.dtable
+
+	// The bit container: unread bits left-aligned in buf (bits below
+	// cnt are stream bits or zero), and the next stream byte to load,
+	// which the padded refill may move past the end.
+	var buf uint64
+	var cnt uint
+	pos := 0
+	buf, cnt, pos = fseRefillPadded(stream, buf, cnt, pos)
+	tl := uint(tableLog)
+	p0 := uint32(buf >> (64 - tl))
+	buf <<= tl
+	p1 := uint32(buf >> (64 - tl))
+	buf <<= tl
+	cnt -= 2 * tl
+
 	// Two-state interleave: even output positions decode on p0, odd on
-	// p1. Table construction bounds every transition inside the table,
-	// so the loop needs no per-step range checks; truncation is caught
-	// by the reader's sticky overread flag after the loop.
-	for i := 0; i < rawLen; i += 2 {
-		e := st.dtable[p0]
-		dst = append(dst, byte(e>>24))
-		nb := uint(e>>16) & 0xFF
-		p0 = e&0xFFFF + uint32(br.Peek(nb))
-		br.Consume(nb)
+	// p1. A refill leaves ≥ 57 bits and four steps take ≤ 48.
+	i := 0
+	for ; i+4 <= rawLen && pos+8 <= len(stream); i += 4 {
+		if cnt <= 56 {
+			buf |= binary.BigEndian.Uint64(stream[pos:]) >> cnt
+			k := (64 - cnt) >> 3
+			pos += int(k)
+			cnt += k << 3
+		}
+		e := dt[p0&0xFFF]
+		nb := uint(e>>16) & 0xF
+		out[i] = byte(e >> 24)
+		p0 = e&0xFFFF + uint32(buf>>1>>((63-nb)&63))
+		buf <<= nb
+		cnt -= nb
+		e = dt[p1&0xFFF]
+		nb = uint(e>>16) & 0xF
+		out[i+1] = byte(e >> 24)
+		p1 = e&0xFFFF + uint32(buf>>1>>((63-nb)&63))
+		buf <<= nb
+		cnt -= nb
+		e = dt[p0&0xFFF]
+		nb = uint(e>>16) & 0xF
+		out[i+2] = byte(e >> 24)
+		p0 = e&0xFFFF + uint32(buf>>1>>((63-nb)&63))
+		buf <<= nb
+		cnt -= nb
+		e = dt[p1&0xFFF]
+		nb = uint(e>>16) & 0xF
+		out[i+3] = byte(e >> 24)
+		p1 = e&0xFFFF + uint32(buf>>1>>((63-nb)&63))
+		buf <<= nb
+		cnt -= nb
+	}
+	for ; i < rawLen; i += 2 {
+		buf, cnt, pos = fseRefillPadded(stream, buf, cnt, pos)
+		e := dt[p0&0xFFF]
+		nb := uint(e>>16) & 0xF
+		out[i] = byte(e >> 24)
+		p0 = e&0xFFFF + uint32(buf>>1>>((63-nb)&63))
+		buf <<= nb
+		cnt -= nb
 		if i+1 == rawLen {
 			break
 		}
-		e = st.dtable[p1]
-		dst = append(dst, byte(e>>24))
-		nb = uint(e>>16) & 0xFF
-		p1 = e&0xFFFF + uint32(br.Peek(nb))
-		br.Consume(nb)
+		e = dt[p1&0xFFF]
+		nb = uint(e>>16) & 0xF
+		out[i+1] = byte(e >> 24)
+		p1 = e&0xFFFF + uint32(buf>>1>>((63-nb)&63))
+		buf <<= nb
+		cnt -= nb
 	}
-	if br.Overread() {
+	if 8*pos-int(cnt) > 8*len(stream) {
 		return nil, fmt.Errorf("entropy: bitstream truncated mid-block")
 	}
 	return dst, nil
+}
+
+// fseRefillPadded tops a left-aligned bit buffer up to ≥ 57 valid bits
+// one byte at a time, loading zeros once pos passes the end of stream.
+func fseRefillPadded(stream []byte, buf uint64, cnt uint, pos int) (uint64, uint, int) {
+	for cnt <= 56 {
+		if pos < len(stream) {
+			buf |= uint64(stream[pos]) << (56 - cnt)
+		}
+		pos++
+		cnt += 8
+	}
+	return buf, cnt, pos
 }

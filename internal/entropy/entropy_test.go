@@ -2,6 +2,9 @@ package entropy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -78,6 +81,13 @@ func corpus() map[string][]byte {
 		}
 	}
 	c["all-bytes"] = all
+	// Rare symbols (normalized count 1) leading a block put the widest
+	// fse chunks first, right after the two initial states.
+	rareLead := skewed(8192)
+	for i := 0; i < 8; i++ {
+		rareLead[i] = byte(200 + i)
+	}
+	c["rare-lead"] = rareLead
 	return c
 }
 
@@ -163,6 +173,145 @@ func TestCorruptAgreement(t *testing.T) {
 				t.Fatalf("pos %d flip %#x: fast and oracle decoded different bytes", pos, flip)
 			}
 		}
+	}
+}
+
+// TestFSETailBoundary covers the fse decoder's hand-off from the
+// 8-bytes-per-refill bulk loop to the zero-padded tail: short blocks of
+// both parities (so either state ends the block) whose streams run from
+// under 8 bytes (skewed 2-symbol) to a few words (geometric). Every
+// prefix, every prefix re-framed as a complete block with a shortened
+// stream, and every single-bit flip must get the same verdict and the
+// same bytes from the fast decoder and the oracle.
+func TestFSETailBoundary(t *testing.T) {
+	rng := testRNG(0x243f6a8885a308d3)
+	agree := func(t *testing.T, what string, in []byte) {
+		t.Helper()
+		fast, fastErr := Decompress(nil, in)
+		ref, refErr := ReferenceDecompress(in)
+		if (fastErr == nil) != (refErr == nil) {
+			t.Fatalf("%s: fast err=%v, oracle err=%v", what, fastErr, refErr)
+		}
+		if fastErr == nil && !bytes.Equal(fast, ref) {
+			t.Fatalf("%s: fast and oracle decoded different bytes", what)
+		}
+	}
+	shortStreams := 0
+	for rawLen := minCompressBlock; rawLen <= 80; rawLen++ {
+		twoSym := make([]byte, rawLen)
+		geometric := make([]byte, rawLen)
+		for i := range twoSym {
+			v := rng.next()
+			if v%10 == 0 {
+				twoSym[i] = 1
+			}
+			for v&1 == 1 && geometric[i] < 6 {
+				geometric[i]++
+				v >>= 1
+			}
+		}
+		twoSym[rawLen/2] = 1 // at least two symbols
+		for _, src := range [][]byte{twoSym, geometric} {
+			comp := Compress(nil, src)
+			mode, n, rest, err := blockHeader(comp)
+			if err != nil || mode != modeFSE || n != rawLen {
+				t.Fatalf("rawLen %d: setup expected one fse block, got mode %d (err %v)", rawLen, mode, err)
+			}
+			bodyLen, used := uvarint(t, rest)
+			body := rest[used:]
+			if bodyLen != len(body) {
+				t.Fatalf("rawLen %d: setup expected a single block", rawLen)
+			}
+			nsym := int(body[1]) + 1
+			stream := body[2+3*nsym:]
+			if len(stream) < 8 {
+				shortStreams++
+			}
+			if got, err := Decompress(nil, comp); err != nil || !bytes.Equal(got, src) {
+				t.Fatalf("rawLen %d: round trip failed: %v", rawLen, err)
+			}
+			for cut := 0; cut < len(comp); cut++ {
+				agree(t, fmt.Sprintf("rawLen %d prefix %d", rawLen, cut), comp[:cut])
+			}
+			for k := 0; k < len(stream); k++ {
+				short := appendBlockHeader(nil, modeFSE, rawLen)
+				short = binary.AppendUvarint(short, uint64(2+3*nsym+k))
+				short = append(short, body[:2+3*nsym+k]...)
+				agree(t, fmt.Sprintf("rawLen %d stream cut to %d bytes", rawLen, k), short)
+			}
+			mut := make([]byte, len(comp))
+			for bit := 0; bit < 8*len(comp); bit++ {
+				copy(mut, comp)
+				mut[bit/8] ^= 0x80 >> (bit % 8)
+				agree(t, fmt.Sprintf("rawLen %d bit %d", rawLen, bit), mut)
+			}
+		}
+	}
+	if shortStreams == 0 {
+		t.Fatal("no block had a stream under 8 bytes; the tail-only path went untested")
+	}
+}
+
+// TestNormalizeMatchesReference compares the fast normalize, whose
+// under-target repair is closed-form, with the oracle's one-unit-at-a-
+// time refNormalize over random histograms of every alphabet size, and
+// checks both drift directions actually occurred.
+func TestNormalizeMatchesReference(t *testing.T) {
+	rng := testRNG(0x13198a2e03707344)
+	var over, under int
+	for iter := 0; iter < 4000; iter++ {
+		nsym := 2 + iter%255
+		fast, ref := new(scratch), new(scratch)
+		perm := make([]int, 256)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := 255; i > 0; i-- {
+			j := int(rng.next() % uint64(i+1))
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		slices.Sort(perm[:nsym])
+		blockLen := 0
+		for i := 0; i < nsym; i++ {
+			var c int32
+			switch iter % 3 {
+			case 0: // near-uniform
+				c = int32(1 + rng.next()%64)
+			case 1: // one dominant symbol, many rare ones
+				c = int32(1 + rng.next()%4)
+				if i == int(rng.next()%uint64(nsym)) {
+					c += int32(rng.next() % 20000)
+				}
+			default: // geometric-ish
+				c = int32(1 + (rng.next()%4096)>>uint(rng.next()%12))
+			}
+			sym := perm[i]
+			fast.hist[sym], ref.hist[sym] = c, c
+			fast.syms[i], ref.syms[i] = uint8(sym), uint8(sym)
+			blockLen += int(c)
+		}
+		tableLog := tableLogFor(blockLen, nsym)
+		var sum int64
+		for i := 0; i < nsym; i++ {
+			sum += max(1, int64(fast.hist[fast.syms[i]])<<tableLog/int64(blockLen))
+		}
+		switch {
+		case sum > 1<<tableLog:
+			over++
+		case sum < 1<<tableLog:
+			under++
+		}
+		fast.normalize(blockLen, nsym, tableLog)
+		refNormalize(ref, blockLen, nsym, tableLog)
+		for i := 0; i < nsym; i++ {
+			if sym := fast.syms[i]; fast.norm[sym] != ref.norm[sym] {
+				t.Fatalf("iter %d (nsym %d, tableLog %d): symbol %d normalized to %d, oracle %d",
+					iter, nsym, tableLog, sym, fast.norm[sym], ref.norm[sym])
+			}
+		}
+	}
+	if over == 0 || under == 0 {
+		t.Fatalf("drift directions not both covered: %d over target, %d under", over, under)
 	}
 }
 

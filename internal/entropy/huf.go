@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/bitstream"
 	"repro/internal/vecops"
 )
 
@@ -223,8 +222,14 @@ func (s *scratch) hufBuildLengths(nsym int) int {
 // oracle.
 func (s *scratch) fseEstimateBody(blockLen, nsym int) int {
 	tableLog := tableLogFor(blockLen, nsym)
-	size := int32(1) << tableLog
 	s.normalize(blockLen, nsym, tableLog)
+	return s.fseEstimateNormalized(nsym, tableLog)
+}
+
+// fseEstimateNormalized is fseEstimateBody past normalization: the
+// estimate from the counts already in s.norm.
+func (s *scratch) fseEstimateNormalized(nsym, tableLog int) int {
+	size := int32(1) << tableLog
 	var num int64
 	for i := 0; i < nsym; i++ {
 		sym := s.syms[i]
@@ -257,73 +262,81 @@ func (s *scratch) hufAssignCodes() {
 
 // appendHufBlock emits one huf block from the lengths hufBuildLengths
 // left in the scratch, falling back to raw if the measured size does
-// not beat it.
+// not beat it. The four streams are written back to back into the
+// scratch stream buffer, whose end offsets give the jump table.
 func appendHufBlock(dst, block []byte, st *scratch) []byte {
 	st.hufAssignCodes()
+	// Codes cap at hufMaxLen bits, so the streams never exceed this
+	// bound; the 8 bytes beyond it take the last word store. One make
+	// per scratch keeps later blocks allocation-free.
+	if need := hufMaxLen*len(block)/8 + hufNumStreams + 8; len(st.hbuf) < need {
+		st.hbuf = make([]byte, need)
+	}
+	buf := st.hbuf
+	henc := &st.henc
 	segLen := (len(block) + 3) / 4
-	var bws [hufNumStreams]*bitstream.Writer
-	var streams [hufNumStreams][]byte
-	bodyLen := hufTableBytes + hufJumpBytes
+	var ends [hufNumStreams]int
+	o := 0
 	for s := 0; s < hufNumStreams; s++ {
 		lo := s * segLen
 		hi := lo + segLen
 		if hi > len(block) {
 			hi = len(block)
 		}
-		bw := bitstream.GetWriter()
-		bw.Grow(hi - lo + 16) // streams beyond raw size fall back below
-		// Four symbols per WriteBits call: codes cap at 11 bits, so a
-		// quad is ≤ 44 bits and fits one accumulator push, amortizing
-		// the writer's bounds/flush logic. Bit order is identical to
-		// the one-symbol loop (each code lands above the next).
+		// MSB-first through a local accumulator holding its pending
+		// bits right-aligned: four codes of ≤ 11 bits join the < 8
+		// pending bits per push, and every push stores the whole
+		// accumulator as one big-endian word and advances past the
+		// completed bytes (the partial byte is rewritten next time).
 		seg := block[lo:hi]
-		i := 0
-		for ; i+4 <= len(seg); i += 4 {
-			e0, e1 := st.henc[seg[i]], st.henc[seg[i+1]]
-			e2, e3 := st.henc[seg[i+2]], st.henc[seg[i+3]]
-			v := uint64(e0 >> 4)
-			w := uint(e0 & 0xF)
-			v = v<<(e1&0xF) | uint64(e1>>4)
-			w += uint(e1 & 0xF)
-			v = v<<(e2&0xF) | uint64(e2>>4)
-			w += uint(e2 & 0xF)
-			v = v<<(e3&0xF) | uint64(e3>>4)
-			w += uint(e3 & 0xF)
-			bw.WriteBits(v, w)
+		var acc uint64
+		var nacc uint
+		for ; len(seg) >= 4; seg = seg[4:] {
+			e0, e1 := henc[seg[0]], henc[seg[1]]
+			e2, e3 := henc[seg[2]], henc[seg[3]]
+			w1, w23 := uint(e1&0xF), uint(e2&0xF)+uint(e3&0xF)
+			v01 := uint64(e0>>4)<<w1 | uint64(e1>>4)
+			v23 := uint64(e2>>4)<<(e3&0xF) | uint64(e3>>4)
+			w := uint(e0&0xF) + w1 + w23
+			acc = acc<<w | v01<<w23 | v23
+			nacc += w
+			binary.BigEndian.PutUint64(buf[o:], acc<<(64-nacc))
+			o += int(nacc >> 3)
+			nacc &= 7
 		}
-		for ; i < len(seg); i++ {
-			e := st.henc[seg[i]]
-			bw.WriteBits(uint64(e>>4), uint(e&0xF))
+		for _, v := range seg {
+			e := henc[v]
+			acc = acc<<(e&0xF) | uint64(e>>4)
+			nacc += uint(e & 0xF)
 		}
-		bws[s], streams[s] = bw, bw.Bytes()
-		bodyLen += len(streams[s])
+		binary.BigEndian.PutUint64(buf[o:], acc<<(64-nacc))
+		o += int(nacc+7) >> 3
+		ends[s] = o
 	}
+	buf = buf[:o]
 
+	bodyLen := hufTableBytes + hufJumpBytes + len(buf)
 	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
 	if headLen+bodyLen >= 1+uvarintLen(uint64(len(block)))+len(block) {
-		for s := 0; s < hufNumStreams; s++ {
-			bitstream.PutWriter(bws[s])
-		}
 		backendRaw.Inc()
 		dst = appendBlockHeader(dst, modeRaw, len(block))
 		return append(dst, block...)
 	}
 
 	backendHuf.Inc()
+	dst = slices.Grow(dst, headLen+bodyLen)
 	dst = appendBlockHeader(dst, modeHUF, len(block))
 	dst = binary.AppendUvarint(dst, uint64(bodyLen))
 	for i := 0; i < hufTableBytes; i++ {
 		dst = append(dst, st.hlen[2*i]|st.hlen[2*i+1]<<4)
 	}
+	prev := 0
 	for s := 0; s < hufNumStreams-1; s++ {
-		n := len(streams[s]) // ≤ 16384 symbols × 11 bits: fits u16
+		n := ends[s] - prev // ≤ 16384 symbols × 11 bits: fits u16
 		dst = append(dst, byte(n), byte(n>>8))
+		prev = ends[s]
 	}
-	for s := 0; s < hufNumStreams; s++ {
-		dst = append(dst, streams[s]...)
-		bitstream.PutWriter(bws[s])
-	}
-	return dst
+	return append(dst, buf...)
 }
 
 // hufParseLens reads a block's nibble-packed code-length table into

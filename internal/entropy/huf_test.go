@@ -99,6 +99,8 @@ func TestHufSelection(t *testing.T) {
 		"exponent-lane": modeFSE, // 8 symbols: tiny fse table wins
 		"rle":           modeRLE,
 	}
+	c["record-12k"] = hufRecord()
+	want["record-12k"] = modeHUF
 	for name, mode := range want {
 		comp := CompressHuf(nil, c[name])
 		for i, m := range hufBlockModes(t, comp) {
@@ -278,30 +280,56 @@ func TestHufDecompressCap(t *testing.T) {
 	}
 }
 
+// hufRecord is a 12 KiB block shaped like one archive record's
+// quantized-coefficient payload: a two-sided geometric alphabet wide
+// enough (about 50 symbols) that the selector codes it as huf.
+func hufRecord() []byte {
+	rng := testRNG(0xa4093822299f31d0)
+	out := make([]byte, 12<<10)
+	for i := range out {
+		v := rng.next()
+		for v&3 != 0 && out[i] < 100 {
+			out[i]++
+			v >>= 2
+		}
+		if v&4 != 0 {
+			out[i] = -out[i]
+		}
+	}
+	return out
+}
+
 // TestHufZeroAllocSteadyState is the huf-path counterpart of the
 // alloc-regression gate: with reused dst buffers, encode (including
 // the selector) and decode (including the 4-stream kernel) must not
-// allocate.
+// allocate — on a huf-selecting lane, on the fse-selecting exponent
+// lane, and on a 12 KiB archive-record-sized block.
 func TestHufZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	src := hufCorpus()["mantissa-lane"][:maxBlock]
-	dst := CompressHuf(nil, src)
-	comp := append([]byte(nil), dst...)
-	out, err := Decompress(nil, comp)
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"mantissa-lane": hufCorpus()["mantissa-lane"][:maxBlock],
+		"exponent-lane": hufCorpus()["exponent-lane"],
+		"record-12k":    hufRecord(),
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = CompressHuf(dst[:0], src)
-		out, err = Decompress(out[:0], comp)
+	for name, src := range cases {
+		dst := CompressHuf(nil, src)
+		comp := append([]byte(nil), dst...)
+		out, err := Decompress(nil, comp)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state huf encode+decode allocates %.1f/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			dst = CompressHuf(dst[:0], src)
+			out, err = Decompress(out[:0], comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state huf encode+decode allocates %.1f/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -369,5 +397,44 @@ func BenchmarkDecompressFSEWide(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The per-mode CompressHuf benchmarks: one input per block mode the
+// selector ends up emitting (huf is BenchmarkCompressHufWide).
+
+// BenchmarkCompressHufExponent codes the 8-symbol exponent lane, which
+// the selector sends to fse.
+func BenchmarkCompressHufExponent(b *testing.B) {
+	src := hufCorpus()["exponent-lane"]
+	var dst []byte
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = CompressHuf(dst[:0], src)
+	}
+}
+
+// BenchmarkCompressHufRecord codes one 12 KiB archive-record-sized
+// block, where per-block table costs weigh most.
+func BenchmarkCompressHufRecord(b *testing.B) {
+	src := hufRecord()
+	var dst []byte
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = CompressHuf(dst[:0], src)
+	}
+}
+
+// BenchmarkCompressHufIncompressible codes a uniform-random lane, which
+// the selector stores raw on the size estimates alone.
+func BenchmarkCompressHufIncompressible(b *testing.B) {
+	src := corpus()["uniform-big"][:maxBlock]
+	var dst []byte
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = CompressHuf(dst[:0], src)
 	}
 }

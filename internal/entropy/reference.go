@@ -11,11 +11,12 @@ import (
 // fast DCT kernel. ReferenceCompress produces byte-identical output to
 // Compress, and ReferenceDecompress accepts exactly the inputs
 // Decompress accepts (the two may differ only in error wording). The
-// shared format-defining pieces — histogram/normalize, tableLogFor,
-// spreadStep, the block framing constants — are reused directly; the
-// state machine itself is re-derived from first principles: explicit
-// symbol tables, per-bit I/O, linear searches instead of packed lookup
-// tables.
+// shared format-defining pieces — histogram, tableLogFor, spreadStep,
+// the block framing constants — are reused directly. Normalization has
+// its own copy, refNormalize, whose drift repair moves one unit at a
+// time where the fast normalize uses the closed form. The state machine
+// itself is re-derived from first principles: explicit symbol tables,
+// per-bit I/O, linear searches instead of packed lookup tables.
 
 // ReferenceCompress encodes src with the bit-serial oracle encoder. The
 // output is byte-identical to Compress(nil, src).
@@ -30,6 +31,48 @@ func ReferenceCompress(src []byte) []byte {
 		src = src[n:]
 	}
 	return dst
+}
+
+// refNormalize is the oracle's normalization: the same largest-
+// remainder scaling as the fast normalize, with the drift repaired one
+// unit at a time — shrink the largest count above 1 while over target,
+// grow the largest while under, ties to the lower symbol value. It
+// fills st.norm for the present symbols.
+func refNormalize(st *scratch, blockLen, nsym, tableLog int) {
+	target := int32(1) << tableLog
+	total := int64(blockLen)
+	var sum int32
+	for i := 0; i < nsym; i++ {
+		c := int64(st.hist[st.syms[i]])
+		n := int32(c * int64(target) / total)
+		if n == 0 {
+			n = 1
+		}
+		st.norm[st.syms[i]] = uint16(n)
+		sum += n
+	}
+	for sum > target {
+		best := -1
+		var bestN uint16
+		for i := 0; i < nsym; i++ {
+			if n := st.norm[st.syms[i]]; n > 1 && (best < 0 || n > bestN) {
+				best, bestN = i, n
+			}
+		}
+		st.norm[st.syms[best]]--
+		sum--
+	}
+	for sum < target {
+		best := 0
+		bestN := st.norm[st.syms[0]]
+		for i := 1; i < nsym; i++ {
+			if n := st.norm[st.syms[i]]; n > bestN {
+				best, bestN = i, n
+			}
+		}
+		st.norm[st.syms[best]]++
+		sum++
+	}
 }
 
 // refTable is the oracle's explicit view of one normalized table: the
@@ -102,8 +145,7 @@ func refCompressBlock(dst, block []byte) []byte {
 
 	tableLog := tableLogFor(len(block), nsym)
 	size := 1 << tableLog
-	st.sized(size, len(block))
-	st.normalize(len(block), nsym, tableLog)
+	refNormalize(st, len(block), nsym, tableLog)
 	t := buildRefTable(st, nsym, tableLog)
 
 	// Encode backwards, alternating two states by symbol-index parity.

@@ -10,11 +10,12 @@ import (
 // to CompressHuf, and the oracle decoder accepts exactly the inputs the
 // fast path accepts. The format-defining derivations — code lengths
 // (hufBuildLengths), the fse-vs-huf selection estimate
-// (fseEstimateBody), canonical code assignment (hufAssignCodes) — are
-// reused directly, like normalize/tableLogFor on the fse side; the
-// encode and decode state machines are re-derived bit-serially: codes
-// written one bit at a time, decode by walking the canonical
-// first-code ladder instead of the multi-symbol LUT.
+// (fseEstimateNormalized, over the oracle's own refNormalize table),
+// canonical code assignment (hufAssignCodes) — are reused directly,
+// like tableLogFor on the fse side; the encode and decode state
+// machines are re-derived bit-serially: codes written one bit at a
+// time, decode by walking the canonical first-code ladder instead of
+// the multi-symbol LUT.
 
 // ReferenceCompressHuf encodes src with the bit-serial oracle encoder.
 // The output is byte-identical to CompressHuf(nil, src).
@@ -43,7 +44,9 @@ func refCompressHufBlock(dst, block []byte) []byte {
 		return append(dst, block...)
 	}
 	hufBody := st.hufBuildLengths(nsym)
-	fseBody := st.fseEstimateBody(len(block), nsym)
+	tableLog := tableLogFor(len(block), nsym)
+	refNormalize(st, len(block), nsym, tableLog)
+	fseBody := st.fseEstimateNormalized(nsym, tableLog)
 	// Incompressible early out, mirrored from compressHufBlock: the
 	// estimate-based raw decision is part of the encoder spec.
 	if hufBody >= len(block) && fseBody >= len(block) {
