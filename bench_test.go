@@ -222,8 +222,8 @@ func BenchmarkHostDecompress(b *testing.B) {
 
 // BenchmarkHostRoundTrip512 is the acceptance headline: the fast
 // separable kernel vs the dense fused-matmul reference on the paper's
-// largest resolution. The JSON twin lives in BENCH_seed.json
-// (cmd/acc-bench -hostbench).
+// largest resolution. perfbench/run.py measures the same kernel end to
+// end on realistic tensors.
 func BenchmarkHostRoundTrip512(b *testing.B) {
 	const n = 512
 	comp := mustComp(b, core.Config{ChopFactor: 4, Serialization: 1}, n)
@@ -253,14 +253,27 @@ func BenchmarkHostRoundTrip512(b *testing.B) {
 	})
 }
 
+// hostIntoCases are the fast-path configurations the Into benchmarks
+// run: the base DCT+Chop config at two resolutions, plus the
+// scatter/gather and s=2 partial-serialization variants.
+var hostIntoCases = []struct {
+	name string
+	cfg  core.Config
+	n    int
+}{
+	{"n64", core.Config{ChopFactor: 4, Serialization: 1}, 64},
+	{"n256", core.Config{ChopFactor: 4, Serialization: 1}, 256},
+	{"sg-n256", core.Config{ChopFactor: 4, Mode: core.ModeSG, Serialization: 1}, 256},
+	{"s2-n256", core.Config{ChopFactor: 4, Serialization: 2}, 256},
+}
+
 // BenchmarkHostCompressInto measures the zero-allocation steady-state
 // entry points the training loop uses (allocs/op must report 0).
 func BenchmarkHostCompressInto(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		n := n
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			comp := mustComp(b, core.Config{ChopFactor: 4, Serialization: 1}, n)
-			x := benchBatch(8, 3, n)
+	for _, tc := range hostIntoCases {
+		b.Run(tc.name, func(b *testing.B) {
+			comp := mustComp(b, tc.cfg, tc.n)
+			x := benchBatch(8, 3, tc.n)
 			dst := comp.NewCompressed(8, 3)
 			if err := comp.CompressInto(dst, x); err != nil {
 				b.Fatal(err)
@@ -279,13 +292,12 @@ func BenchmarkHostCompressInto(b *testing.B) {
 
 // BenchmarkHostDecompressInto is the decompression counterpart.
 func BenchmarkHostDecompressInto(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		n := n
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			comp := mustComp(b, core.Config{ChopFactor: 4, Serialization: 1}, n)
-			x := benchBatch(8, 3, n)
+	for _, tc := range hostIntoCases {
+		b.Run(tc.name, func(b *testing.B) {
+			comp := mustComp(b, tc.cfg, tc.n)
+			x := benchBatch(8, 3, tc.n)
 			dst := comp.NewCompressed(8, 3)
-			out := tensor.New(8, 3, n, n)
+			out := tensor.New(8, 3, tc.n, tc.n)
 			if err := comp.CompressInto(dst, x); err != nil {
 				b.Fatal(err)
 			}

@@ -44,6 +44,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,11 +83,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Compress and decompress write -out; refuse before doing any work.
+	if *out == "" && (*mode == "compress" || *mode == "decompress") {
+		check(errors.New("missing -out"))
+	}
 
 	switch *mode {
 	case "compress":
 		if *stream {
-			compressStream(*in, *out, newCodec(*spec, *cf, *sg, *serial, *trans), *bd, *ch, *n, *index)
+			ins := append(strings.FieldsFunc(*in, func(r rune) bool { return r == ',' }), flag.Args()...)
+			check(compressStream(ins, *out, newCodec(*spec, *cf, *sg, *serial, *trans), *bd, *ch, *n, *index))
 			break
 		}
 		x := readTensor(*in, *bd, *ch, *n)
@@ -110,9 +116,6 @@ func main() {
 		// header, so no -codec or shape flags are needed (or consulted).
 		x, c, err := codec.DecodeFile(*in)
 		check(err)
-		if *out == "" {
-			check(fmt.Errorf("missing -out"))
-		}
 		check(tensorio.WriteTensor(*out, x))
 		fmt.Printf("%s: decompressed to %v (%d bytes)\n", c.Spec(), x.Shape(), x.SizeBytes())
 
@@ -154,45 +157,54 @@ func main() {
 	}
 }
 
-// compressStream packs every input file (comma-separated `in` plus the
-// positional arguments, all sharing the shape flags) into one ACCF v2
-// stream at `out`.
-func compressStream(in, out string, c codec.Codec, bd, ch, n int, index bool) {
-	if out == "" {
-		check(fmt.Errorf("missing -out"))
-	}
-	var ins []string
-	for _, p := range strings.Split(in, ",") {
-		if p != "" {
-			ins = append(ins, p)
-		}
-	}
-	ins = append(ins, flag.Args()...)
+// compressStream packs the input files, all sharing the shape flags,
+// into one ACCF v2 stream at out. On failure it removes out rather than
+// leave a stream without its end-of-stream marker behind.
+func compressStream(ins []string, out string, c codec.Codec, bd, ch, n int, index bool) (err error) {
 	f, err := os.Create(out)
-	check(err)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(out)
+		}
+	}()
 	sw := codec.NewStreamWriter(f)
-	check(sw.SetIndex(index))
+	if err := sw.SetIndex(index); err != nil {
+		return err
+	}
 	var raw int64
 	for _, p := range ins {
-		x := readTensor(p, bd, ch, n)
-		check(sw.WriteTensor(context.Background(), c, x))
+		x, err := tensorio.ReadTensor(p, bd, ch, n, n)
+		if err != nil {
+			return err
+		}
+		if err := sw.WriteTensor(context.Background(), c, x); err != nil {
+			return err
+		}
 		raw += int64(x.SizeBytes())
 	}
-	check(sw.Close())
-	check(f.Close())
+	if err := sw.Close(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
 	fi, err := os.Stat(out)
-	check(err)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%s: streamed %d tensors, %d bytes -> %d bytes (ratio %.2f)\n",
 		c.Spec(), sw.Records(), raw, fi.Size(), float64(raw)/float64(fi.Size()))
+	return nil
 }
 
 // decompressStream unpacks an ACCF v2 stream record by record, writing
 // tensor i to <out>.NNN.f32. Records decode with bounded memory: the
 // reader streams each payload through one plane-group of scratch.
 func decompressStream(in, out string) {
-	if out == "" {
-		check(fmt.Errorf("missing -out"))
-	}
 	f, err := os.Open(in)
 	check(err)
 	defer f.Close()
@@ -218,9 +230,6 @@ func decompressStream(in, out string) {
 // stream has none) and writes just that tensor to `out`. Reads are
 // proportional to the footer plus the one record, not the stream.
 func extractRecord(in, out string, rec int) {
-	if out == "" {
-		check(fmt.Errorf("missing -out"))
-	}
 	f, err := os.Open(in)
 	check(err)
 	defer f.Close()

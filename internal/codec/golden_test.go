@@ -6,7 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/tensor"
@@ -125,33 +128,125 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 	}
 }
 
-// TestRoundTripIntoAllocs proves the zfp and jpegq registry round
-// trips allocate nothing at steady state on a single-worker pipeline
-// (the multi-worker pipeline spends a few allocations on the fan-out).
+// roundTripAllocCases pins RoundTripInto's steady-state allocations
+// per op on a uniform [1,3,256,256] batch: every baseline family bare
+// and through "+fse", plus the "+huf" headline specs. The counts are
+// taken with the collector paused, so no pool refill after a collection
+// blurs them and each ceiling is the exact count. Lower a ceiling when
+// a change removes allocations.
+var roundTripAllocCases = []struct {
+	spec   string
+	allocs float64
+}{
+	{"zfp:rate=8", 0},
+	{"zfp:rate=8+fse", 37},
+	{"jpegq:q=50", 0},
+	{"jpegq:q=50+fse", 35},
+	{"sz:eb=1e-3", 34},
+	{"sz:eb=1e-3+fse", 36},
+	{"dctc:cf=4", 70},
+	{"dctc:cf=4+fse", 72},
+	{"dctc:cf=4+huf", 72},
+	{"lossless:bg=4", 5},
+	{"lossless:bg=4+fse", 8},
+	{"lossless:bg=4+huf", 8},
+}
+
+// allocBatch is the input of roundTripAllocCases and
+// BenchmarkRoundTripInto.
+func allocBatch() *tensor.Tensor {
+	return tensor.NewRNG(1).Uniform(0, 1, 1, 3, 256, 256)
+}
+
+// strandedMallocs is the two-worker pass's allowance over a spec's
+// ceiling: over 25 runs of the test, the fewest-malloc call still met
+// up to two parked buffers. One allocation per plane adds three.
+const strandedMallocs = 2
+
+// fewestMallocs is testing.AllocsPerRun without its GOMAXPROCS=1 pin:
+// the fewest process-wide mallocs any one of runs calls of f makes,
+// after one warm-up call. With two Ps a pooled buffer parked in the
+// other P's private slot now and then misses; a reuse break allocates
+// in every call.
+func fewestMallocs(runs int, f func()) float64 {
+	f()
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < runs; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return float64(fewest)
+}
+
+// TestRoundTripIntoAllocs holds every spec of roundTripAllocCases to
+// its ceiling at one worker (testing.AllocsPerRun) and, within
+// strandedMallocs, at two workers on GOMAXPROCS 2 (fewestMallocs). A
+// reuse break — one allocation per plane, block or lane — lands above
+// it.
 func TestRoundTripIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
-	x := conformanceBatch()
+	x := allocBatch()
 	dst := tensor.New(x.Shape()...)
-	for _, spec := range []string{"zfp:rate=8", "jpegq:q=50"} {
-		c, err := New(spec)
-		if err != nil {
-			t.Fatal(err)
+	check := func(t *testing.T, slack float64, count func(func()) float64) {
+		for _, tc := range roundTripAllocCases {
+			t.Run(tc.spec, func(t *testing.T) {
+				c, err := New(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := RoundTripInto(c, dst, x); err != nil {
+					t.Fatal(err)
+				}
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				allocs := count(func() {
+					if _, err := RoundTripInto(c, dst, x); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if ceiling := tc.allocs + slack; allocs > ceiling {
+					t.Errorf("RoundTripInto allocates %v/op, ceiling %v", allocs, ceiling)
+				}
+			})
 		}
-		if _, err := RoundTripInto(c, dst, x); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
+	}
+	t.Run("workers=1", func(t *testing.T) {
+		defer SetMaxWorkers(SetMaxWorkers(1))
+		check(t, 0, func(f func()) float64 { return testing.AllocsPerRun(20, f) })
+	})
+	t.Run("workers=2", func(t *testing.T) {
+		withConcurrency(t, 2)
+		check(t, strandedMallocs, func(f func()) float64 { return fewestMallocs(20, f) })
+	})
+}
+
+// BenchmarkRoundTripInto reports ns/op and allocs/op of every
+// roundTripAllocCases spec.
+func BenchmarkRoundTripInto(b *testing.B) {
+	x := allocBatch()
+	dst := tensor.New(x.Shape()...)
+	for _, tc := range roundTripAllocCases {
+		b.Run(tc.spec, func(b *testing.B) {
+			c, err := New(tc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, err := RoundTripInto(c, dst, x); err != nil {
-				t.Fatal(err)
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(x.SizeBytes()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RoundTripInto(c, dst, x); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%s: RoundTripInto allocates %v/op, want 0", spec, allocs)
-		}
 	}
 }
 

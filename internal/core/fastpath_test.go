@@ -149,18 +149,26 @@ func TestCompressIntoReshapesDst(t *testing.T) {
 }
 
 // TestIntoPathZeroAllocs is the allocation regression suite: after
-// warm-up, CompressInto and DecompressInto must not allocate at all —
-// the guarantee every steady-state training loop inherits.
+// warm-up, CompressInto, DecompressInto and RoundTripInto must not
+// allocate at all — the guarantee every steady-state training loop
+// inherits.
 func TestIntoPathZeroAllocs(t *testing.T) {
-	const n = 32
-	for _, cfg := range []Config{
-		{ChopFactor: 4, Serialization: 1},
-		{ChopFactor: 4, Serialization: 2},
-		{ChopFactor: 4, Mode: ModeSG, Serialization: 1},
-		{ChopFactor: 2, Mode: ModeSG, Serialization: 2, Transform: TransformZFP4},
+	for _, tc := range []struct {
+		cfg Config
+		n   int
+	}{
+		{Config{ChopFactor: 4, Serialization: 1}, 32},
+		{Config{ChopFactor: 4, Serialization: 1}, 64},
+		{Config{ChopFactor: 4, Serialization: 2}, 32},
+		{Config{ChopFactor: 4, Mode: ModeSG, Serialization: 1}, 32},
+		{Config{ChopFactor: 2, Mode: ModeSG, Serialization: 2, Transform: TransformZFP4}, 32},
 	} {
-		cfg := cfg
-		t.Run(cfg.String(), func(t *testing.T) {
+		cfg, n := tc.cfg, tc.n
+		name := cfg.String() // n=32 subtests keep their config-only names
+		if n != 32 {
+			name += fmt.Sprintf(" n=%d", n)
+		}
+		t.Run(name, func(t *testing.T) {
 			c, err := NewCompressor(cfg, n)
 			if err != nil {
 				t.Fatal(err)
@@ -176,19 +184,27 @@ func TestIntoPathZeroAllocs(t *testing.T) {
 			if err := c.DecompressInto(out, dst); err != nil {
 				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if err := c.CompressInto(dst, x); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("CompressInto allocates %.1f objects/op, want 0", allocs)
+			if err := c.RoundTripInto(out, x); err != nil {
+				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if err := c.DecompressInto(out, dst); err != nil {
-					t.Fatal(err)
+			for _, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"CompressInto", func() error { return c.CompressInto(dst, x) }},
+				{"DecompressInto", func() error { return c.DecompressInto(out, dst) }},
+				{"RoundTripInto", func() error { return c.RoundTripInto(out, x) }},
+			} {
+				if raceEnabled && op.name == "RoundTripInto" {
+					continue // its payload pool drops Puts under -race
 				}
-			}); allocs != 0 {
-				t.Errorf("DecompressInto allocates %.1f objects/op, want 0", allocs)
+				if allocs := testing.AllocsPerRun(50, func() {
+					if err := op.run(); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s allocates %.1f objects/op, want 0", op.name, allocs)
+				}
 			}
 		})
 	}

@@ -26,9 +26,7 @@
 package cpufeat
 
 import (
-	"fmt"
 	"os"
-	"runtime"
 	"strings"
 )
 
@@ -93,28 +91,4 @@ func applyOverrides(f Features, get func(string) string) Features {
 		f.NEON = false
 	}
 	return f
-}
-
-// Summary returns a one-line human-readable description of the active
-// feature set, e.g. "amd64: sse4.1 sse4.2 avx avx2 fma" or
-// "amd64: portable (ACC_DISABLE_SIMD)". Bench artifacts record it so a
-// BENCH_*.json is self-describing about the paths it measured.
-func Summary() string {
-	var tags []string
-	add := func(on bool, name string) {
-		if on {
-			tags = append(tags, name)
-		}
-	}
-	add(active.SSE41, "sse4.1")
-	add(active.SSE42, "sse4.2")
-	add(active.AVX, "avx")
-	add(active.AVX2, "avx2")
-	add(active.FMA, "fma")
-	add(active.BMI2, "bmi2")
-	add(active.NEON, "neon")
-	if len(tags) == 0 {
-		return fmt.Sprintf("%s: portable", runtime.GOARCH)
-	}
-	return fmt.Sprintf("%s: %s", runtime.GOARCH, strings.Join(tags, " "))
 }

@@ -67,9 +67,3 @@ func TestOverridePerFeature(t *testing.T) {
 		t.Fatalf("ACC_DISABLE_NEON: got %+v, want %+v", got, want)
 	}
 }
-
-func TestSummaryNonEmpty(t *testing.T) {
-	if Summary() == "" {
-		t.Fatal("Summary returned an empty string")
-	}
-}
